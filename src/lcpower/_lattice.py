@@ -1,0 +1,413 @@
+"""The power-iteration loop of :func:`lcpower.solver.solve` on int exponent keys.
+
+Every exponent of the loop lies on one lattice ``(1/D)Z`` fixed before
+step 1.  A number is a pair ``(terms, bound)``: ``terms`` is a sorted tuple
+of ``(k, c)`` standing for ``c t^(k/D)``, ``bound`` an int or ``INF``.  A
+vector is a tuple of numbers sharing one bound.  Each function repeats the
+float operations of its ``core``/``linalg`` namesake in the same order
+(merge and dict accumulation order, the ``EPS_REL``/``EPS_FLOOR`` cleanup,
+the term counts of the series loops, the exceptions), so results converted
+back are bit-identical; only the exponent bookkeeping drops ``Fraction``.
+A value that would leave the lattice raises :class:`LatticeError`.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .core import EPS_FLOOR, EPS_REL, INF, LCNumber
+from .errors import (DegenerateInputError, DomainError, LCError,
+                     LostDominanceError, PrecisionError, WindowExceededError)
+from .linalg import LCVector
+
+ZERO = ((), INF)
+
+
+class LatticeError(LCError):
+    """An exponent fell off the lattice of the solve (an internal error)."""
+
+
+class Lattice:
+    """The lattice ``(1/D)Z``, ``D`` twice the lcm of the exponent
+    denominators of ``numbers`` (terms and finite bounds) and ``exponents``;
+    the factor 2 keeps the square root's ``lam/2`` on it.  Exponents
+    converted back are shared through a ``k -> Fraction`` cache."""
+
+    def __init__(self, numbers, exponents):
+        dens = {q.denominator for q in exponents if q != INF}
+        for a in numbers:
+            dens.update(q.denominator for q, _ in a.terms)
+            if a.valid_to != INF:
+                dens.add(a.valid_to.denominator)
+        self.D = 2 * math.lcm(*dens)
+        self._fractions = {}
+
+    def key(self, q):
+        if q == INF:
+            return INF
+        k, rem = divmod(q.numerator * self.D, q.denominator)
+        if rem:
+            raise LatticeError(f"exponent {q} is off the lattice (1/{self.D})Z")
+        return k
+
+    def fraction(self, k: int) -> Fraction:
+        f = self._fractions.get(k)
+        if f is None:
+            f = self._fractions[k] = Fraction(k, self.D)
+        return f
+
+    def number(self, a: LCNumber):
+        b = a.valid_to
+        return tuple((self.key(q), c) for q, c in a.terms), self.key(b)
+
+    def vector(self, x):
+        return tuple(self.number(e) for e in x)
+
+    def to_number(self, a) -> LCNumber:
+        terms, b = a
+        return LCNumber(tuple((self.fraction(k), c) for k, c in terms),
+                        b if b == INF else self.fraction(b))
+
+    def to_vector(self, v) -> LCVector:
+        return LCVector([self.to_number(e) for e in v])
+
+
+# -- numbers ----------------------------------------------------------------------
+
+
+def constant(x):
+    c = complex(x)
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise ValueError(f"non-finite coefficient {c} at exponent 0")
+    c = 0j + c  # as from_terms accumulates it
+    m = abs(c)
+    return (((0, c),), INF) if m > max(EPS_REL * m, EPS_FLOOR) else ZERO
+
+
+ONE = constant(1.0)
+
+
+def add(a, b):
+    (ta, ba), (tb, bb) = a, b
+    bound = ba if ba <= bb else bb
+    merged = []
+    append = merged.append
+    i = j = 0
+    na, nb = len(ta), len(tb)
+    while i < na and j < nb:
+        qa, ca = ta[i]
+        qb, cb = tb[j]
+        if qa < qb:
+            append(ta[i])
+            i += 1
+        elif qb < qa:
+            append(tb[j])
+            j += 1
+        else:
+            append((qa, ca + cb))
+            i += 1
+            j += 1
+    merged.extend(ta[i:])
+    merged.extend(tb[j:])
+    mags = [abs(c) for _, c in merged]
+    max_mag = max(mags, default=0.0)
+    if max_mag == 0.0:
+        return (), bound
+    eps = max(EPS_REL * max_mag, EPS_FLOOR)
+    if min(mags) > eps and merged[-1][0] <= bound:
+        return tuple(merged), bound
+    return tuple(t for t, m in zip(merged, mags) if m > eps and t[0] <= bound), bound
+
+
+def neg(a):
+    return tuple((q, -c) for q, c in a[0]), a[1]
+
+
+def sub(a, b):
+    return add(a, neg(b))
+
+
+def mul(a, b):
+    (ta, ba), (tb, bb) = a, b
+    if not ta or not tb:
+        return ZERO
+    lb = tb[0][0]
+    x = INF if ba == INF else ba + lb
+    y = INF if bb == INF else bb + ta[0][0]
+    bound = x if x <= y else y
+    if len(tb) == 1:  # the products land on distinct keys, in order
+        acc = {qa + lb: 0j + ca * tb[0][1] for qa, ca in ta if qa + lb <= bound}
+    else:
+        acc = {}
+        get = acc.get
+        for qa, ca in ta:
+            room = bound - qa
+            if lb > room:
+                break
+            for qb, cb in tb:
+                if qb > room:
+                    break
+                q = qa + qb
+                acc[q] = get(q, 0j) + ca * cb
+    if not acc:
+        return (), bound
+    mags = list(map(abs, acc.values()))
+    max_mag = max(mags)
+    if not math.isfinite(max_mag):
+        raise ValueError("coefficient overflow in multiplication")
+    eps = max(EPS_REL * max_mag, EPS_FLOOR)
+    items = sorted(acc.items())
+    if min(mags) > eps:
+        return tuple(items), bound
+    return tuple(t for t in items if abs(t[1]) > eps), bound
+
+
+def truncated(a, bound):
+    return retruncate(a, bound if bound < a[1] else a[1])
+
+
+def retruncate(a, bound):
+    terms = a[0]
+    if terms and terms[-1][0] > bound:
+        terms = tuple(t for t in terms if t[0] <= bound)
+    return terms, bound
+
+
+def shift(a, s):
+    return tuple((q + s, c) for q, c in a[0]), INF if a[1] == INF else a[1] + s
+
+
+def coefficient(a, k):
+    for q, c in a[0]:
+        if q >= k:
+            return c if q == k else 0j
+    return 0j
+
+
+def is_real(a):
+    return all(c.imag == 0.0 for _, c in a[0])
+
+
+def real_part(a):
+    return tuple((q, complex(c.real, 0.0)) for q, c in a[0] if c.real != 0.0), a[1]
+
+
+def imag_part(a):
+    return tuple((q, complex(c.imag, 0.0)) for q, c in a[0] if c.imag != 0.0), a[1]
+
+
+def conjugate(a):
+    return tuple((q, c.conjugate()) for q, c in a[0]), a[1]
+
+
+def _split_leading(a):
+    """(lam, c, eps) with a = c t^lam (1 + eps)."""
+    terms, b = a
+    lam, c = terms[0]
+    return lam, c, (tuple((q - lam, cq / c) for q, cq in terms[1:]),
+                    INF if b == INF else b - lam)
+
+
+def _series(eps, kind: str):
+    """The loop of ``core.invert`` or ``core.sqrt``: the geometric or
+    binomial series of ``eps`` on its window.  Terms never exceed their
+    bound, so the window is >= 0 and ``//`` truncates like ``int()``."""
+    series_bound = eps[1]
+    if series_bound == INF:
+        raise PrecisionError(
+            f"{kind} of an unbounded non-monomial series has infinite support; "
+            "truncate the input or pass bound=...")
+    n_terms = series_bound // eps[0][0][0] + 1
+    acc = power = ONE
+    if kind == "inverse":
+        neg_eps = neg(eps)
+        for _ in range(1, n_terms):
+            power = truncated(mul(power, neg_eps), series_bound)
+            if not power[0]:
+                break
+            acc = add(acc, power)
+    else:
+        coeff = 1.0  # binomial(1/2, k), updated iteratively
+        for k in range(1, n_terms):
+            coeff *= (0.5 - (k - 1)) / k
+            power = truncated(mul(power, eps), series_bound)
+            if not power[0]:
+                break
+            acc = add(acc, mul(power, constant(coeff)))
+    return truncated(acc, series_bound)
+
+
+def invert(a):
+    if not a[0]:
+        raise ZeroDivisionError("inverse of zero")
+    lam, c, eps = _split_leading(a)
+    out_bound = INF if a[1] == INF else a[1] - 2 * lam
+    if out_bound < -lam:
+        raise PrecisionError("validity window leaves no representable terms for the inverse")
+    if not eps[0]:
+        return ((-lam, 1.0 / c),), out_bound
+    return shift(mul(_series(eps, "inverse"), constant(1.0 / c)), -lam)
+
+
+def _half(k):
+    if k != INF and k % 2:
+        raise LatticeError("square root leaves the exponent lattice")
+    return k if k == INF else k // 2
+
+
+def sqrt(a):
+    if not a[0]:
+        return (), _half(a[1])
+    if not is_real(a):
+        raise DomainError("square root of a number with complex coefficients")
+    lam, c, eps = _split_leading(a)
+    if c.real < 0:
+        raise DomainError("square root of a negative number")
+    half_lam = _half(lam)
+    root_c = math.sqrt(c.real)
+    if not eps[0]:
+        return ((half_lam, complex(root_c)),), INF if a[1] == INF else a[1] - half_lam
+    return shift(mul(_series(eps, "square root"), constant(root_c)), half_lam)
+
+
+def magnitude(z):
+    if not z[0]:
+        return z
+    if is_real(z):
+        return z if z[0][0][1].real > 0 else neg(z)
+    re, im = real_part(z), imag_part(z)
+    return sqrt(add(mul(re, re), mul(im, im)))
+
+
+def compare(a, b) -> int:
+    if not is_real(a) or not is_real(b):
+        raise DomainError("order comparison requires real coefficients")
+    merged = {}
+    for q, c in a[0]:
+        merged[q] = merged.get(q, 0j) + c
+    for q, c in b[0]:
+        merged[q] = merged.get(q, 0j) - c
+    diff = sorted((q, c) for q, c in merged.items() if c != 0j)
+    return 0 if not diff else 1 if diff[0][1].real > 0 else -1
+
+
+def semi_norm(a, r: int, lattice: Lattice) -> float:
+    if r > a[1]:
+        raise WindowExceededError(f"semi-norm window {lattice.fraction(r)} exceeds "
+                                  f"validity bound {lattice.fraction(a[1])}")
+    return max((abs(c) for q, c in a[0] if q <= r), default=0.0)
+
+
+# -- vectors ----------------------------------------------------------------------
+
+
+def clamp(entries):
+    """The ``LCVector`` constructor: truncate to the smallest entry bound."""
+    bound = min(e[1] for e in entries)
+    return tuple(truncated(e, bound) for e in entries)
+
+
+def scaled(v, s):
+    return clamp([mul(e, s) for e in v])
+
+
+def _add_product(acc, a, b):
+    """``add(acc, mul(a, b))`` for an accumulator that starts at ``ZERO``
+    and grows only by ``add``.  A product with an empty factor is ``ZERO``,
+    and adding it only repeats the accumulator's (idempotent) cleanup."""
+    return add(acc, mul(a, b)) if a[0] and b[0] else acc
+
+
+def matvec(A, x):
+    if len(A) != len(x):
+        raise DegenerateInputError(f"dimension mismatch: {len(A)}x{len(A)} vs {len(x)}")
+    out = []
+    for row in A:
+        acc = ZERO
+        for a_ij, x_j in zip(row, x):
+            acc = _add_product(acc, a_ij, x_j)
+        out.append(acc)
+    return clamp(out)
+
+
+def _sum_abs_squares(v):
+    acc = ZERO
+    for e in v:
+        re, im = real_part(e), imag_part(e)
+        acc = _add_product(_add_product(acc, re, re), im, im)
+    return acc
+
+
+def norm_max(v):
+    """``linalg.norm_max_info``: (value, index, tie)."""
+    keys = [(0, e[0][0][0], abs(e[0][0][1])) if e[0] else (1, 0, 0.0) for e in v]
+    best_i = 0
+    for i in range(1, len(keys)):
+        zb, qb, mb = keys[best_i]
+        zi, qi, mi = keys[i]
+        if zi < zb or (zi == zb == 0 and (qi < qb or (qi == qb and mi > mb * (1 + 1e-12)))):
+            best_i = i
+    zb, qb, mb = keys[best_i]
+    finalists = [i for i, (z, q, m) in enumerate(keys)
+                 if z == zb and (zb == 1 or (q == qb and m >= mb * (1 - 1e-12)))]
+    best_i, tie = finalists[0], False
+    best = magnitude(v[best_i])
+    for i in finalists[1:]:
+        m = magnitude(v[i])
+        cmp = compare(m, best)
+        if cmp > 0:
+            best, best_i, tie = m, i, False
+        elif cmp == 0:
+            tie = True
+    return best, best_i, tie
+
+
+def normalize(y, norm_kind: str, truncation: int):
+    """Normalize and re-truncate to the fixed window: (x, max-norm pivot tie)."""
+    y = clamp([truncated(e, truncation) for e in y])
+    tie = False
+    if norm_kind == "max":
+        nrm, _idx, tie = norm_max(y)
+    else:
+        nrm = sqrt(_sum_abs_squares(y))
+    if not nrm[0] or nrm[0][0][0] > 0:
+        raise LostDominanceError(
+            "normalization lost its constant part; the start vector has "
+            "numerically no component along the dominant eigenvector")
+    return clamp([retruncate(e, truncation) for e in scaled(y, invert(nrm))]), tie
+
+
+def rayleigh(u, au):
+    """(u* au) / ||u||_2^2 given the matrix action au."""
+    if not any(e[0] for e in u):
+        raise DegenerateInputError("Rayleigh quotient of the zero vector")
+    s = _sum_abs_squares(u)
+    if s[0] and s[0][0][0] < 0:
+        raise DomainError("constant part of an infinitely large number")
+    if coefficient(s, 0).real <= 0.0:
+        raise DegenerateInputError("vector norm has vanishing constant part")
+    num = ZERO
+    for u_i, au_i in zip(u, au):
+        num = _add_product(num, conjugate(u_i), au_i)
+    return mul(num, invert(s))
+
+
+def phase_aligned(v):
+    """Divide by the phase of the pivot's constant coefficient: (v, tie)."""
+    mags = [abs(coefficient(e, 0)) for e in v]
+    best = max(mags)
+    tie = best > 0.0 and mags.count(best) > 1
+    c0 = coefficient(v[mags.index(best)], 0)
+    if c0 == 0j:
+        return v, tie
+    phase = c0 / abs(c0)
+    return (v if phase == 1.0 + 0j else scaled(v, constant(phase.conjugate()))), tie
+
+
+def weakly_converged(a, b, rho_prev, rho_curr, r: int, tol: float, lattice: Lattice) -> bool:
+    """The weakly-Cauchy test on the phase-aligned iterates ``a``, ``b``."""
+    for ea, eb in zip(a, b):
+        if semi_norm(sub(ea, eb), r, lattice) >= tol:
+            return False
+    return semi_norm(sub(rho_curr, rho_prev), r, lattice) < tol

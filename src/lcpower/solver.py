@@ -7,6 +7,12 @@ part 1, then iterate multiply-and-normalize until successive iterates and
 Rayleigh quotients agree coefficient-wise within tolerance on the check
 window (the weakly-Cauchy stopping rule).  The eigenvalue of the original
 matrix is recovered as rho * mu1 * t^(q0).
+
+The loop runs on an integer exponent lattice (1/D)Z fixed when ``solve``
+is entered (:mod:`lcpower._lattice`): the normalized matrix and the start
+vector are converted once, each step's iterate and Rayleigh quotient are
+converted back for the trace, and the results are bit-identical to the
+same loop on :mod:`lcpower.core` arithmetic.
 """
 
 from __future__ import annotations
@@ -18,13 +24,11 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import core
+from . import _lattice, core
 from .core import LCNumber, as_exponent
-from .errors import (DegenerateInputError, DominanceUncertainError,
-                     LostDominanceError)
+from .errors import DegenerateInputError, DominanceUncertainError
 from .linalg import (LCMatrix, LCVector, Polynomial, companion_matrix, matvec,
-                     min_valuation, norm_l2, norm_max_info, pi_matrix, poly_eval,
-                     rayleigh_quotient_from_action, scale_by_monomial)
+                     min_valuation, pi_matrix, poly_eval, scale_by_monomial)
 
 __all__ = [
     "SolverConfig",
@@ -237,25 +241,20 @@ def precondition(A: LCMatrix, cfg: SolverConfig):
 # -- the iteration -----------------------------------------------------------------
 
 
-def _normalize_vector(y: LCVector, norm_kind: str, truncation) -> Tuple[LCVector, bool]:
-    y = y.truncated(truncation)  # keeps the norm's validity window finite
-    tie = False
-    if norm_kind == "max":
-        nrm, _idx, tie = norm_max_info(y)
-    else:
-        nrm = norm_l2(y)
-    if nrm.is_zero or nrm.terms[0][0] > 0:
-        raise LostDominanceError(
-            "normalization lost its constant part; the start vector has "
-            "numerically no component along the dominant eigenvector")
-    scaled = y * core.invert(nrm)
-    return scaled.retruncated(truncation), tie
-
-
 def power_step(A_norm: LCMatrix, x: LCVector, norm_kind: str, truncation
                ) -> Tuple[LCVector, bool]:
     """One multiply-and-normalize step, re-truncated to the fixed window."""
-    return _normalize_vector(matvec(A_norm, x), norm_kind, truncation)
+    truncation = core.as_bound(truncation)
+    lat, M, xs = _on_lattice(A_norm, x, truncation)
+    x_new, tie = _lattice.normalize(_lattice.matvec(M, xs), norm_kind, lat.key(truncation))
+    return lat.to_vector(x_new), tie
+
+
+def _on_lattice(A_norm: LCMatrix, x: LCVector, *exponents):
+    """The lattice of a loop over ``A_norm`` from ``x`` (with ``exponents``
+    on it too), and the matrix and the vector converted to it."""
+    lat = _lattice.Lattice([e for row in A_norm.rows for e in row] + list(x), exponents)
+    return lat, tuple(lat.vector(row) for row in A_norm.rows), lat.vector(x)
 
 
 def _phase_aligned(x: LCVector) -> Tuple[LCVector, bool]:
@@ -285,12 +284,11 @@ def weakly_converged(x_prev: LCVector, x_curr: LCVector,
     """Weakly-Cauchy test: after phase alignment, every entry difference
     and the Rayleigh-quotient difference stay below tol on exponents <= r."""
     r = as_exponent(r)
-    a, _ = _phase_aligned(x_prev)
-    b, _ = _phase_aligned(x_curr)
-    for ea, eb in zip(a.entries, b.entries):
-        if core.semi_norm(ea - eb, r) >= tol:
-            return False
-    return core.semi_norm(rho_curr - rho_prev, r) < tol
+    lat = _lattice.Lattice([*x_prev, *x_curr, rho_prev, rho_curr], [r])
+    a, _ = _lattice.phase_aligned(lat.vector(x_prev))
+    b, _ = _lattice.phase_aligned(lat.vector(x_curr))
+    return _lattice.weakly_converged(a, b, lat.number(rho_prev), lat.number(rho_curr),
+                                     lat.key(r), tol, lat)
 
 
 def _start_vector(cfg: SolverConfig, n: int) -> LCVector:
@@ -348,38 +346,45 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     ``residual``.
     """
     a_norm, q0, mu1 = precondition(A, cfg)
-    rho_window = cfg.window
+    x = _start_vector(cfg, A.n)
+    # every exponent of the loop lies on one lattice fixed here, so the
+    # loop runs on int exponent keys; results are bit-identical to core
+    lat, M, xs = _on_lattice(a_norm, x, cfg.truncation, cfg.window)
+    trunc, window = lat.key(cfg.truncation), lat.key(cfg.window)
     tie_any = False
 
-    x = _start_vector(cfg, A.n)
     # a pivot tie in the user-chosen start (e.g. all-ones) is not the
     # degeneracy the warning flag tracks, so it is not collected here
-    x, _start_tie = _normalize_vector(x, cfg.norm_kind, cfg.truncation)
+    xs, _start_tie = _lattice.normalize(xs, cfg.norm_kind, trunc)
     # one matrix action per step, shared between the Rayleigh quotient of
     # the current iterate and the next normalization
-    ax = matvec(a_norm, x)
-    rho = core.retruncate(rayleigh_quotient_from_action(x, ax), cfg.truncation)
-    trace = IterationTrace([TraceStep(0, x, rho, _recover(rho, mu1, q0))])
+    ax = _lattice.matvec(M, xs)
+    rho = _lattice.retruncate(_lattice.rayleigh(xs, ax), trunc)
+    aligned, _ = _lattice.phase_aligned(xs)
+    x, rho_lc = lat.to_vector(xs), lat.to_number(rho)
+    trace = IterationTrace([TraceStep(0, x, rho_lc, _recover(rho_lc, mu1, q0))])
 
     converged = False
     k = 0
     for k in range(1, cfg.max_iters + 1):
-        x_new, tie = _normalize_vector(ax, cfg.norm_kind, cfg.truncation)
+        xs, tie = _lattice.normalize(ax, cfg.norm_kind, trunc)
         tie_any |= tie
-        ax = matvec(a_norm, x_new)
-        rho_new = core.retruncate(rayleigh_quotient_from_action(x_new, ax),
-                                  cfg.truncation)
-        trace.steps.append(TraceStep(k, x_new, rho_new, _recover(rho_new, mu1, q0)))
-        done = weakly_converged(x, x_new, rho, rho_new, rho_window, cfg.tol)
-        x, rho = x_new, rho_new
+        ax = _lattice.matvec(M, xs)
+        rho_new = _lattice.retruncate(_lattice.rayleigh(xs, ax), trunc)
+        x, rho_lc = lat.to_vector(xs), lat.to_number(rho_new)
+        trace.steps.append(TraceStep(k, x, rho_lc, _recover(rho_lc, mu1, q0)))
+        aligned_new, _ = _lattice.phase_aligned(xs)
+        done = _lattice.weakly_converged(aligned, aligned_new, rho, rho_new,
+                                         window, cfg.tol, lat)
+        aligned, rho = aligned_new, rho_new
         if done:
             converged = True
             break
 
     x, tie = _phase_aligned(x)
     tie_any |= tie
-    nu1 = _recover(rho, mu1, q0)
-    residual, rwin = _residual(A, x, nu1, rho_window)
+    nu1 = trace.steps[-1].estimate
+    residual, rwin = _residual(A, x, nu1, cfg.window)
     result = EigenResult(
         eigenvalue=nu1, eigenvector=x, q0=q0, mu1=mu1,
         iterations_used=k, converged=converged, pivot_tie_warning=tie_any,

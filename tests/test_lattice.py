@@ -1,0 +1,277 @@
+"""The integer-lattice loop kernel against the reference arithmetic.
+
+Every kernel operation runs next to its ``core``/``linalg`` counterpart on
+the same random inputs and must agree bit for bit: the ``repr`` of the
+terms after conversion (so a ``-0.0`` counts), the validity bound, and the
+exception type and message wherever the reference raises.  A solve-level
+test then checks that ``solve`` reproduces the LCVector loop it replaced
+(``reference_loop``) byte for byte.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lcpower import _lattice as lk
+from lcpower import core, linalg, solver
+from lcpower.core import INF
+from lcpower.linalg import LCMatrix, LCVector
+from lcpower.solver import SolverConfig, solve
+from lcpower.textio import parse_matrix, serialize_series
+import reference_loop
+from randgen import random_dominated_2x2
+
+FAST = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SLOW = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+exponents = st.builds(F, st.integers(-6, 12), st.sampled_from([1, 2, 3]))
+bounds = st.one_of(st.just(INF), exponents)
+reals = st.builds(lambda e, s: s * 10.0 ** e, st.floats(-12, 12), st.sampled_from([-1.0, 1.0]))
+# complex values with one -0.0 part (conjugated reals) tell `0j + c` from `c`
+coefficients = st.one_of(reals, st.builds(complex, reals, reals),
+                         st.builds(complex, reals, st.just(-0.0)),
+                         st.builds(complex, st.just(-0.0), reals))
+
+
+@st.composite
+def numbers(draw, coeffs=coefficients, max_terms=5, positive=False):
+    terms = draw(st.lists(st.tuples(exponents, coeffs), max_size=max_terms))
+    a = core.from_terms(terms, draw(bounds))
+    if positive and a.terms:
+        q, c = a.terms[0]
+        a = core.LCNumber(((q, complex(abs(c.real), 0.0)),) + a.terms[1:], a.valid_to)
+    return a
+
+
+real_numbers = numbers(coeffs=reals)
+# from_terms clears -0.0 parts; conjugates and negations carry them
+any_numbers = st.one_of(numbers(), real_numbers, numbers(coeffs=reals, positive=True),
+                        real_numbers.map(core.conjugate), numbers().map(lambda a: -a))
+
+
+def vectors(n):
+    return st.lists(any_numbers, min_size=n, max_size=n)
+
+
+def fingerprint(x):
+    """Bit-exact identity of a result: repr of terms (so -0.0 counts) and bound."""
+    if isinstance(x, core.LCNumber):
+        return ("number", repr(x.terms), x.valid_to)
+    if isinstance(x, LCVector):
+        return ("vector", [fingerprint(e) for e in x.entries], x.bound)
+    if isinstance(x, tuple):
+        return tuple(fingerprint(e) for e in x)
+    return ("value", repr(x))
+
+
+def same(reference, kernel):
+    """Run both thunks; they must agree on the result or on the exception."""
+    try:
+        expected = reference()
+    except Exception as exc:  # the kernel must raise the same
+        with pytest.raises(Exception) as info:
+            kernel()
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return
+    assert fingerprint(kernel()) == fingerprint(expected)
+
+
+def lattice(*items, window=None):
+    flat = []
+    for x in items:
+        flat.extend(x if isinstance(x, (list, tuple, LCVector)) else [x])
+    return lk.Lattice(flat, [] if window is None else [window])
+
+
+# -- numbers ------------------------------------------------------------------------
+
+
+@FAST
+@given(any_numbers, any_numbers)
+def test_binary_ops(a, b):
+    lat = lattice(a, b)
+    ka, kb = lat.number(a), lat.number(b)
+    same(lambda: a + b, lambda: lat.to_number(lk.add(ka, kb)))
+    same(lambda: a - b, lambda: lat.to_number(lk.sub(ka, kb)))
+    same(lambda: a * b, lambda: lat.to_number(lk.mul(ka, kb)))
+    same(lambda: core.compare(a, b), lambda: lk.compare(ka, kb))
+
+
+@FAST
+@given(any_numbers, exponents)
+def test_window_ops(a, r):
+    lat = lattice(a, window=r)
+    ka, kr = lat.number(a), lat.key(r)
+    same(lambda: core.truncated(a, r), lambda: lat.to_number(lk.truncated(ka, kr)))
+    same(lambda: core.retruncate(a, r), lambda: lat.to_number(lk.retruncate(ka, kr)))
+    same(lambda: core.semi_norm(a, r), lambda: lk.semi_norm(ka, kr, lat))
+    same(lambda: a[0], lambda: lk.coefficient(ka, 0))
+
+
+@FAST
+@given(any_numbers)
+def test_unary_ops(a):
+    lat = lattice(a)
+    ka = lat.number(a)
+    same(lambda: core.real_part(a), lambda: lat.to_number(lk.real_part(ka)))
+    same(lambda: core.imag_part(a), lambda: lat.to_number(lk.imag_part(ka)))
+    same(lambda: core.conjugate(a), lambda: lat.to_number(lk.conjugate(ka)))
+    same(lambda: -a, lambda: lat.to_number(lk.neg(ka)))
+
+
+@SLOW
+@given(any_numbers)
+def test_series_ops(a):
+    lat = lattice(a)
+    ka = lat.number(a)
+    same(lambda: core.invert(a), lambda: lat.to_number(lk.invert(ka)))
+    same(lambda: core.sqrt(a), lambda: lat.to_number(lk.sqrt(ka)))
+    same(lambda: core.magnitude(a), lambda: lat.to_number(lk.magnitude(ka)))
+
+
+@FAST
+@given(st.one_of(coefficients, st.just(0.0), st.just(-0.0)))
+def test_constant(x):
+    lat = lattice()
+    same(lambda: core.constant(x), lambda: lat.to_number(lk.constant(x)))
+
+
+def test_off_lattice_root_raises():
+    # t^(1/2) on the lattice (1/2)Z: its root t^(1/4) has no lattice point
+    lat = lk.Lattice([], [])
+    assert lat.D == 2
+    with pytest.raises(lk.LatticeError):
+        lk.sqrt(lat.number(core.monomial(F(1, 2))))
+    with pytest.raises(lk.LatticeError):
+        lat.key(F(1, 3))
+
+
+# -- vectors ------------------------------------------------------------------------
+
+
+@SLOW
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(vectors(n * n), vectors(n))),
+       st.sampled_from(["l2", "max"]), bounds)
+def test_vector_ops(entries, norm_kind, trunc):
+    flat, x_entries = entries
+    n = len(x_entries)
+    A = LCMatrix([flat[i * n:(i + 1) * n] for i in range(n)])
+    lat = lattice(flat, x_entries, window=trunc)
+    M = tuple(lat.vector(row) for row in A.rows)
+    kx = lat.vector(x_entries)
+    same(lambda: LCVector(x_entries), lambda: lat.to_vector(lk.clamp(kx)))
+    x = LCVector(x_entries)
+    kx = lk.clamp(kx)
+    same(lambda: linalg.matvec(A, x), lambda: lat.to_vector(lk.matvec(M, kx)))
+    same(lambda: linalg.norm_l2(x),
+         lambda: lat.to_number(lk.sqrt(lk._sum_abs_squares(kx))))
+    same(lambda: linalg.norm_max_info(x),
+         lambda: (lambda v, i, t: (lat.to_number(v), i, t))(*lk.norm_max(kx)))
+    same(lambda: linalg.rayleigh_quotient_from_action(x, linalg.matvec(A, x)),
+         lambda: lat.to_number(lk.rayleigh(kx, lk.matvec(M, kx))))
+    same(lambda: solver._phase_aligned(x),
+         lambda: (lambda v, t: (lat.to_vector(v), t))(*lk.phase_aligned(kx)))
+    same(lambda: reference_loop.normalize_vector(x, norm_kind, trunc),
+         lambda: (lambda v, t: (lat.to_vector(v), t))(
+             *lk.normalize(kx, norm_kind, lat.key(trunc))))
+    same(lambda: reference_loop.power_step(A, x, norm_kind, trunc),
+         lambda: solver.power_step(A, x, norm_kind, trunc))
+
+
+@SLOW
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(vectors(n), vectors(n))),
+       real_numbers, real_numbers, exponents,
+       st.sampled_from([1e-12, 1e-6, 1.0]))
+def test_weakly_converged(xs, rho_prev, rho_curr, r, tol):
+    a, b = LCVector(xs[0]), LCVector(xs[1])
+    same(lambda: reference_loop.weakly_converged(a, b, rho_prev, rho_curr, r, tol),
+         lambda: solver.weakly_converged(a, b, rho_prev, rho_curr, r, tol))
+
+
+@st.composite
+def near_tied_vectors(draw):
+    """Copies of one number scaled by factors at and around the max norm's
+    relative tie tolerance of 1e-12."""
+    base = draw(any_numbers)
+    factors = draw(st.lists(st.sampled_from([1.0, -1.0, 1j, 1 + 1e-11, 1 - 1e-11, 1 + 1e-13]),
+                            min_size=2, max_size=3))
+    return LCVector([base * f for f in factors])
+
+
+@SLOW
+@given(near_tied_vectors(), exponents)
+def test_max_norm_near_ties(x, trunc):
+    lat = lattice(x, window=trunc)
+    kx = lat.vector(x)
+    same(lambda: linalg.norm_max_info(x),
+         lambda: (lambda v, i, t: (lat.to_number(v), i, t))(*lk.norm_max(kx)))
+    same(lambda: reference_loop.normalize_vector(x, "max", trunc),
+         lambda: (lambda v, t: (lat.to_vector(v), t))(*lk.normalize(kx, "max", lat.key(trunc))))
+
+
+def test_weakly_converged_at_tolerance():
+    # a Rayleigh-quotient difference of exactly tol is not converged
+    x = LCVector([core.constant(1.0), core.monomial(1, 0.5)])
+    tol = 1e-6
+    rho = core.constant(2.0)
+    for rho_new in (rho + tol, rho + 0.5 * tol):
+        expected = reference_loop.weakly_converged(x, x, rho, rho_new, 1, tol)
+        assert solver.weakly_converged(x, x, rho, rho_new, 1, tol) is expected
+    assert not solver.weakly_converged(x, x, core.zero(), core.constant(tol), 1, tol)
+
+
+# -- whole solves ---------------------------------------------------------------------
+
+
+def _random_2x2(seed, index):
+    rng = np.random.default_rng(seed)
+    found = 0
+    while True:
+        A, _ = random_dominated_2x2(rng, bound=6)
+        if A is not None:
+            if found == index:
+                return A
+            found += 1
+
+
+CASES = {
+    "readme": lambda: (parse_matrix("2; t\nt; 1"), SolverConfig(truncation=F(8))),
+    "rand2x2-a": lambda: (_random_2x2(2, 1), SolverConfig(
+        truncation=F(6), max_iters=600, tol=1e-12, start="ones")),
+    "rand2x2-b": lambda: (_random_2x2(2, 2), SolverConfig(
+        truncation=F(6), max_iters=600, tol=1e-12, start="ones")),
+    "fractional-max": lambda: (parse_matrix(
+        "4 + t^(1/2); 1; t^(2/3)\n"
+        "1; 2 + t; 0.5*t^(1/3)\n"
+        "t^(1/2); 0.5; 1 + t^(1/3)"),
+        SolverConfig(truncation=F(1), norm_kind="max", tol=1e-10)),
+    # (1+0.5i) times a real matrix: complex entries whose eigenvalue has a
+    # constant phase, so the iterates settle after phase alignment
+    "complex-max": lambda: (parse_matrix(
+        "(2+1i) + (1+0.5i)*t; (1+0.5i)\n"
+        "(0.5+0.25i)*t; (1+0.5i) + (1+0.5i)*t^2"),
+        SolverConfig(truncation=F(3), norm_kind="max", tol=1e-10)),
+    "random-start": lambda: (parse_matrix("3 + t; 1; 0\n1; 1; t\n0; t^2; 0.5"),
+                             SolverConfig(truncation=F(3), start="random:7")),
+}
+
+
+def _summary(result, trace):
+    return (serialize_series(result.eigenvalue),
+            [serialize_series(e) for e in result.eigenvector],
+            repr(result.residual), result.residual_window,
+            result.iterations_used, result.converged, result.pivot_tie_warning,
+            [(s.step, repr(s.rho), repr(s.vector)) for s in trace.steps])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_solve_matches_reference_loop(case):
+    A, cfg = CASES[case]()
+    expected = _summary(*reference_loop.solve(A, cfg))
+    got = _summary(*solve(A, cfg))
+    assert got == expected
+    assert got[5], "the case should converge"
