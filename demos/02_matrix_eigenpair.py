@@ -5,8 +5,8 @@
 
 from fractions import Fraction
 
-from lcpower import SolverConfig, eq_up_to, parse_matrix, serialize_series, solve
-from lcpower.oracles import eig2x2_symbolic
+from lcpower import (SolverConfig, eq_up_to, parse_matrix, serialize_series, solve,
+                     sqrt)
 
 A = parse_matrix("2; t\nt; 1")
 
@@ -23,7 +23,11 @@ print("eigenvector[0] :", serialize_series(result.eigenvector[0]))
 print("eigenvector[1] :", serialize_series(result.eigenvector[1]))
 print("residual       :", result.residual)
 
-nu1, nu2 = eig2x2_symbolic(A, 8)
+# The closed form (tr + sqrt(tr^2 - 4 det)) / 2, with the square root's
+# binomial series taken to t^8.
+tr = A[0][0] + A[1][1]
+det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+nu1 = (tr + sqrt(tr * tr - 4 * det, bound=8)) * 0.5
 print()
 print("closed form    :", serialize_series(nu1))
 print("match to t^8   :", eq_up_to(result.eigenvalue, nu1, 8, 1e-9))

@@ -3,9 +3,10 @@
 #
 # Run:  python3 demos/04_gershgorin_disks.py
 
+import numpy as np
+
 from lcpower import (all_eigenvalues_at_most_finite, gershgorin_disks,
                      parse_matrix, pi_matrix, serialize_series)
-from lcpower.oracles import charpoly_roots_complex
 
 
 def report(title, text):
@@ -32,5 +33,6 @@ print()
 print("constant part of the coupled matrix:")
 B = pi_matrix(A)
 print(" ", B.real.tolist())
-print("  its eigenvalues:", [round(z.real, 12) for z in charpoly_roots_complex(B)])
+print("  its eigenvalues:",
+      sorted(np.linalg.eigvals(B).real.round(12).tolist(), reverse=True))
 print("  (the series eigenvalues 2 + t^2 - ... and 1 - t^2 + ... start there)")

@@ -1,13 +1,17 @@
-"""The power-iteration loop of :func:`lcpower.solver.solve` on int exponent keys.
+"""The series kernels of lcpower on int exponent keys: the one
+implementation of the product, the inverse and square-root series, the
+magnitude and the vector operations of the power-iteration loop.
 
-Every exponent of the loop lies on one lattice ``(1/D)Z`` fixed before
-step 1.  A number is a pair ``(terms, bound)``: ``terms`` is a sorted tuple
-of ``(k, c)`` standing for ``c t^(k/D)``, ``bound`` an int or ``INF``.  A
-vector is a tuple of numbers sharing one bound.  Each function repeats the
-float operations of its ``core``/``linalg`` namesake in the same order
-(merge and dict accumulation order, the ``EPS_REL``/``EPS_FLOOR`` cleanup,
-the term counts of the series loops, the exceptions), so results converted
-back are bit-identical; only the exponent bookkeeping drops ``Fraction``.
+Every exponent of a computation lies on one lattice ``(1/D)Z``.  A number
+is a pair ``(terms, bound)``: ``terms`` is a sorted tuple of ``(k, c)``
+standing for ``c t^(k/D)``, ``bound`` an int or ``INF``.  A vector is a
+tuple of numbers sharing one bound.  :mod:`lcpower.core` converts its
+``Fraction``-exponent numbers to and from this form
+(:class:`lcpower.core.Lattice`) and calls these functions for ``*``,
+``invert``, ``sqrt`` and ``magnitude``; :mod:`lcpower.linalg` does the same
+for the matrix action, the norms and the Rayleigh quotient, and
+:func:`lcpower.solver.solve` runs its whole loop here.  Nothing here
+imports the rest of the package apart from :mod:`lcpower.errors`.
 A value that would leave the lattice raises :class:`LatticeError`.
 """
 
@@ -16,61 +20,24 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import EPS_FLOOR, EPS_REL, INF, LCNumber
 from .errors import (DegenerateInputError, DomainError, LCError,
                      LostDominanceError, PrecisionError, WindowExceededError)
-from .linalg import LCVector
+
+#: Validity bound of exactly represented numbers.
+INF = math.inf
+
+# Cleanup threshold: relative to the largest coefficient magnitude in the
+# operand, with an absolute floor.  Coefficients at or below it are treated
+# as floating-point residue, not data; without this cleanup valuations and
+# order comparisons would be dominated by roundoff.
+EPS_REL = 1e-14
+EPS_FLOOR = 1e-300
 
 ZERO = ((), INF)
 
 
 class LatticeError(LCError):
-    """An exponent fell off the lattice of the solve (an internal error)."""
-
-
-class Lattice:
-    """The lattice ``(1/D)Z``, ``D`` twice the lcm of the exponent
-    denominators of ``numbers`` (terms and finite bounds) and ``exponents``;
-    the factor 2 keeps the square root's ``lam/2`` on it.  Exponents
-    converted back are shared through a ``k -> Fraction`` cache."""
-
-    def __init__(self, numbers, exponents):
-        dens = {q.denominator for q in exponents if q != INF}
-        for a in numbers:
-            dens.update(q.denominator for q, _ in a.terms)
-            if a.valid_to != INF:
-                dens.add(a.valid_to.denominator)
-        self.D = 2 * math.lcm(*dens)
-        self._fractions = {}
-
-    def key(self, q):
-        if q == INF:
-            return INF
-        k, rem = divmod(q.numerator * self.D, q.denominator)
-        if rem:
-            raise LatticeError(f"exponent {q} is off the lattice (1/{self.D})Z")
-        return k
-
-    def fraction(self, k: int) -> Fraction:
-        f = self._fractions.get(k)
-        if f is None:
-            f = self._fractions[k] = Fraction(k, self.D)
-        return f
-
-    def number(self, a: LCNumber):
-        b = a.valid_to
-        return tuple((self.key(q), c) for q, c in a.terms), self.key(b)
-
-    def vector(self, x):
-        return tuple(self.number(e) for e in x)
-
-    def to_number(self, a) -> LCNumber:
-        terms, b = a
-        return LCNumber(tuple((self.fraction(k), c) for k, c in terms),
-                        b if b == INF else self.fraction(b))
-
-    def to_vector(self, v) -> LCVector:
-        return LCVector([self.to_number(e) for e in v])
+    """An exponent fell off the lattice of a computation (an internal error)."""
 
 
 # -- numbers ----------------------------------------------------------------------
@@ -129,6 +96,8 @@ def sub(a, b):
 
 
 def mul(a, b):
+    """a * b, valid to min(T_a + val(b), T_b + val(a)).  Exact zero is
+    absorbing and exact: the product is zero everywhere."""
     (ta, ba), (tb, bb) = a, b
     if not ta or not tb:
         return ZERO
@@ -210,9 +179,9 @@ def _split_leading(a):
 
 
 def _series(eps, kind: str):
-    """The loop of ``core.invert`` or ``core.sqrt``: the geometric or
-    binomial series of ``eps`` on its window.  Terms never exceed their
-    bound, so the window is >= 0 and ``//`` truncates like ``int()``."""
+    """The geometric (inverse) or binomial (square root) series of ``eps``
+    on its window; later powers cannot reach the window.  Terms never
+    exceed their bound, so the window is >= 0 and ``//`` truncates."""
     series_bound = eps[1]
     if series_bound == INF:
         raise PrecisionError(
@@ -239,6 +208,8 @@ def _series(eps, kind: str):
 
 
 def invert(a):
+    """1/a by the geometric series of the remainder after the leading
+    monomial, valid to T_a - 2 val(a)."""
     if not a[0]:
         raise ZeroDivisionError("inverse of zero")
     lam, c, eps = _split_leading(a)
@@ -257,6 +228,9 @@ def _half(k):
 
 
 def sqrt(a):
+    """The positive square root of a positive real number by the binomial
+    series of the remainder after the leading monomial, valid to
+    T_a - val(a)/2."""
     if not a[0]:
         return (), _half(a[1])
     if not is_real(a):
@@ -272,6 +246,7 @@ def sqrt(a):
 
 
 def magnitude(z):
+    """|z| = sqrt(re(z)^2 + im(z)^2); a real input only flips its sign."""
     if not z[0]:
         return z
     if is_real(z):
@@ -292,10 +267,11 @@ def compare(a, b) -> int:
     return 0 if not diff else 1 if diff[0][1].real > 0 else -1
 
 
-def semi_norm(a, r: int, lattice: Lattice) -> float:
+def semi_norm(a, r: int, D: int) -> float:
+    """sup of the coefficient magnitudes over keys <= r, on the lattice (1/D)Z."""
     if r > a[1]:
-        raise WindowExceededError(f"semi-norm window {lattice.fraction(r)} exceeds "
-                                  f"validity bound {lattice.fraction(a[1])}")
+        raise WindowExceededError(f"semi-norm window {Fraction(r, D)} exceeds "
+                                  f"validity bound {Fraction(a[1], D)}")
     return max((abs(c) for q, c in a[0] if q <= r), default=0.0)
 
 
@@ -332,6 +308,8 @@ def matvec(A, x):
 
 
 def _sum_abs_squares(v):
+    """sum |v_i|^2 through the real and imaginary parts, so the result has
+    exactly real coefficients."""
     acc = ZERO
     for e in v:
         re, im = real_part(e), imag_part(e)
@@ -340,7 +318,9 @@ def _sum_abs_squares(v):
 
 
 def norm_max(v):
-    """``linalg.norm_max_info``: (value, index, tie)."""
+    """Largest |v_i| under the series order: (value, index, tie).  The
+    leading term decides (smaller valuation, then larger magnitude); the
+    magnitude series is compared only between entries tied there."""
     keys = [(0, e[0][0][0], abs(e[0][0][1])) if e[0] else (1, 0, 0.0) for e in v]
     best_i = 0
     for i in range(1, len(keys)):
@@ -394,7 +374,10 @@ def rayleigh(u, au):
 
 
 def phase_aligned(v):
-    """Divide by the phase of the pivot's constant coefficient: (v, tie)."""
+    """Divide by the unit-modulus phase of the pivot's constant coefficient,
+    making it real positive: (v, tie).  The pivot is the entry with the
+    largest constant-coefficient modulus.  The weak limit is only defined up
+    to a phase absorbed by the real-valued norm."""
     mags = [abs(coefficient(e, 0)) for e in v]
     best = max(mags)
     tie = best > 0.0 and mags.count(best) > 1
@@ -405,9 +388,9 @@ def phase_aligned(v):
     return (v if phase == 1.0 + 0j else scaled(v, constant(phase.conjugate()))), tie
 
 
-def weakly_converged(a, b, rho_prev, rho_curr, r: int, tol: float, lattice: Lattice) -> bool:
+def weakly_converged(a, b, rho_prev, rho_curr, r: int, tol: float, D: int) -> bool:
     """The weakly-Cauchy test on the phase-aligned iterates ``a``, ``b``."""
     for ea, eb in zip(a, b):
-        if semi_norm(sub(ea, eb), r, lattice) >= tol:
+        if semi_norm(sub(ea, eb), r, D) >= tol:
             return False
-    return semi_norm(sub(rho_curr, rho_prev), r, lattice) < tol
+    return semi_norm(sub(rho_curr, rho_prev), r, D) < tol

@@ -21,7 +21,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -42,10 +41,6 @@ EXIT_PARSE = 3
 EXIT_DOMINANCE = 4
 EXIT_NONCONVERGED = 5
 EXIT_INTERNAL = 6
-
-DEFAULTS = dict(max_iters=200, tol=1e-12, norm="l2", start="ones",
-                complex_pi_iters=500, complex_pi_tol=1e-12)
-
 
 @dataclass
 class RunManifest:
@@ -107,9 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> SolverConfig:
-    values: dict = dict(DEFAULTS)
-    if args.config is not None:
-        values.update(parse_config(args.config.read_text()))
+    """Config file values overridden by flags; ``SolverConfig`` supplies
+    every key neither sets."""
+    values = parse_config(args.config.read_text()) if args.config is not None else {}
     for key, flag in (("truncation", args.truncation),
                       ("max_iters", args.max_iters),
                       ("tol", args.tol),
@@ -120,20 +115,27 @@ def _config_from_args(args) -> SolverConfig:
             values[key] = flag
     if "truncation" not in values:
         raise ParseError("truncation is required (flag --truncation or config file)")
-    start = values["start"]
-    if isinstance(start, str) and start.startswith("file:"):
-        start = parse_vector(Path(start[5:]).read_text())
-    return SolverConfig(
-        truncation=as_exponent(str(values["truncation"])),
-        max_iters=int(values["max_iters"]),
-        tol=float(values["tol"]),
-        check_window=(as_exponent(str(values["check_window"]))
-                      if values.get("check_window") not in (None, "") else None),
-        norm_kind=str(values["norm"]),
-        start=start,
-        complex_pi_iters=int(values["complex_pi_iters"]),
-        complex_pi_tol=float(values["complex_pi_tol"]),
-    )
+    kwargs = {}
+    for key, name, convert in (("truncation", "truncation", _exponent),
+                               ("max_iters", "max_iters", int),
+                               ("tol", "tol", float),
+                               ("check_window", "check_window",
+                                lambda v: _exponent(v) if v else None),
+                               ("norm", "norm_kind", str),
+                               ("start", "start", _start),
+                               ("complex_pi_iters", "complex_pi_iters", int),
+                               ("complex_pi_tol", "complex_pi_tol", float)):
+        if key in values:
+            kwargs[name] = convert(values[key])
+    return SolverConfig(**kwargs)
+
+
+def _exponent(value) -> Fraction:
+    return as_exponent(str(value))
+
+
+def _start(value: str):
+    return parse_vector(Path(value[5:]).read_text()) if value.startswith("file:") else value
 
 
 def _result_document(manifest: RunManifest, result: EigenResult) -> str:
@@ -201,9 +203,9 @@ def cmd_solve(manifest: RunManifest) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
-def cmd_gershgorin(manifest: RunManifest) -> int:
+def cmd_gershgorin(input_path: Path) -> int:
     """Print each disk and the at-most-finite verdict."""
-    disks = gershgorin_disks(parse_matrix(manifest.input_path.read_text()))
+    disks = gershgorin_disks(parse_matrix(input_path.read_text()))
     lines = []
     for i, d in enumerate(disks):
         lines.append(f"disk {i}: center = {serialize_series(d.center)}; "
@@ -218,9 +220,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gershgorin":
-            return cmd_gershgorin(RunManifest(
-                kind="matrix", input_path=args.input,
-                config=SolverConfig(truncation=Fraction(0))))
+            return cmd_gershgorin(args.input)
         manifest = RunManifest(
             kind="polynomial" if args.command == "poly-root" else "matrix",
             input_path=args.input,

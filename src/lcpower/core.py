@@ -17,6 +17,9 @@ inputs support:
 * ``sqrt(a)``       -> T_a - val(a) / 2
 
 where ``val`` is the valuation (smallest exponent) and ``T`` the bound.
+The product, the inverse, the square root and the magnitude convert their
+operands to int exponent keys (:class:`Lattice`) and run the one
+implementation of those kernels in :mod:`lcpower._lattice`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
 
-from .errors import DomainError, PrecisionError, WindowExceededError
+from . import _lattice
+from ._lattice import EPS_FLOOR, EPS_REL, INF, LatticeError
+from .errors import DomainError, WindowExceededError
 
 __all__ = [
     "INF",
@@ -54,16 +59,6 @@ __all__ = [
     "truncated",
     "retruncate",
 ]
-
-#: Validity bound of exactly represented numbers.
-INF = math.inf
-
-# Cleanup threshold: relative to the largest coefficient magnitude in the
-# operand, with an absolute floor.  Coefficients at or below it are treated
-# as floating-point residue, not data; without this cleanup valuations and
-# order comparisons would be dominated by roundoff.
-EPS_REL = 1e-14
-EPS_FLOOR = 1e-300
 
 ExponentLike = Union[Fraction, int, str]
 BoundLike = Union[Fraction, int, str, float]
@@ -94,19 +89,6 @@ def _badd(x, y):
     if x == INF or y == INF:
         return INF
     return x + y
-
-
-def _bsub(x, y):
-    # x - y where x may be +inf; y is always finite here
-    if x == INF:
-        return INF
-    return x - y
-
-
-def _bhalf(x):
-    if x == INF:
-        return INF
-    return x / 2
 
 
 @dataclass(frozen=True)
@@ -355,49 +337,66 @@ def imag_part(a: LCNumber) -> LCNumber:
                     a.valid_to)
 
 
-# -- multiplication ---------------------------------------------------------
+# -- the series kernels ------------------------------------------------------
+
+
+class Lattice:
+    """Converts numbers to and from the int exponent keys of
+    :mod:`lcpower._lattice` on the lattice ``(1/D)Z``: ``D`` is twice the
+    lcm of the exponent denominators of ``numbers`` (terms and finite
+    bounds) and ``exponents``, and the factor 2 keeps the square root's
+    ``lam/2`` on it.  Exponents converted back are shared through a
+    ``k -> Fraction`` cache."""
+
+    def __init__(self, numbers, exponents=()):
+        dens = {q.denominator for q in exponents if q != INF}
+        for a in numbers:
+            dens.update(q.denominator for q, _ in a.terms)
+            if a.valid_to != INF:
+                dens.add(a.valid_to.denominator)
+        self.D = 2 * math.lcm(*dens)
+        self._fractions = {}
+
+    def key(self, q):
+        return INF if q == INF else self._term_key(q)
+
+    def _term_key(self, q: Fraction) -> int:
+        k, rem = divmod(q.numerator * self.D, q.denominator)
+        if rem:
+            raise LatticeError(f"exponent {q} is off the lattice (1/{self.D})Z")
+        return k
+
+    def fraction(self, k: int) -> Fraction:
+        f = self._fractions.get(k)
+        if f is None:
+            f = self._fractions[k] = Fraction(k, self.D)
+        return f
+
+    def number(self, a: LCNumber):
+        key = self._term_key
+        return tuple((key(q), c) for q, c in a.terms), self.key(a.valid_to)
+
+    def vector(self, x):
+        return tuple(self.number(e) for e in x)
+
+    def to_number(self, a) -> LCNumber:
+        terms, b = a
+        fraction = self.fraction
+        return LCNumber(tuple((fraction(k), c) for k, c in terms),
+                        b if b == INF else fraction(b))
+
+    def to_numbers(self, v):
+        return [self.to_number(e) for e in v]
+
+
+def _kernel(fn, *args: LCNumber) -> LCNumber:
+    """``fn`` of :mod:`lcpower._lattice` on ``args``, on a lattice built for the call."""
+    lat = Lattice(args)
+    return lat.to_number(fn(*map(lat.number, args)))
 
 
 def _mul(a: LCNumber, b: LCNumber) -> LCNumber:
-    # Exact zero is absorbing and exact: the product is zero everywhere.
-    if not a.terms or not b.terms:
-        return LCNumber((), INF)
-    la = a.terms[0][0]
-    lb = b.terms[0][0]
-    bound = _bmin(_badd(a.valid_to, lb), _badd(b.valid_to, la))
-    # Convolve on a common integer exponent grid: integer dictionary keys
-    # are far cheaper than Fraction hashing in this hot path.
-    grid = 1
-    for q, _ in a.terms:
-        grid = grid * q.denominator // math.gcd(grid, q.denominator)
-    for q, _ in b.terms:
-        grid = grid * q.denominator // math.gcd(grid, q.denominator)
-    if bound != INF:
-        grid = grid * bound.denominator // math.gcd(grid, bound.denominator)
-        ibound = bound.numerator * (grid // bound.denominator)
-    else:
-        ibound = None
-    ia = [(q.numerator * (grid // q.denominator), c) for q, c in a.terms]
-    ib = [(q.numerator * (grid // q.denominator), c) for q, c in b.terms]
-    lb_i = ib[0][0]
-    acc: dict = {}
-    for qa, ca in ia:
-        if ibound is not None and qa + lb_i > ibound:
-            break
-        for qb, cb in ib:
-            q = qa + qb
-            if ibound is not None and q > ibound:
-                break
-            acc[q] = acc.get(q, 0j) + ca * cb
-    if not acc:
-        return LCNumber((), bound)
-    max_mag = max(abs(c) for c in acc.values())
-    if not math.isfinite(max_mag):
-        raise ValueError("coefficient overflow in multiplication")
-    eps = max(EPS_REL * max_mag, EPS_FLOOR)
-    terms = tuple((Fraction(q, grid), c)
-                  for q, c in sorted(acc.items()) if abs(c) > eps)
-    return LCNumber(terms, bound)
+    return _kernel(_lattice.mul, a, b)
 
 
 # -- comparison and semi-norms ----------------------------------------------
@@ -486,14 +485,6 @@ def retruncate(a: LCNumber, bound: BoundLike) -> LCNumber:
 # -- inversion and square root ------------------------------------------------
 
 
-def _split_leading(a: LCNumber):
-    """Factor a = c * t^lam * (1 + eps) with val(eps) > 0; returns (lam, c, eps)."""
-    lam, c = a.terms[0]
-    tail = [(q - lam, cq / c) for q, cq in a.terms[1:]]
-    eps = LCNumber(tuple(tail), _bsub(a.valid_to, lam))
-    return lam, c, eps
-
-
 def invert(a: LCNumber, bound: BoundLike = None) -> LCNumber:
     """Multiplicative inverse on the largest window the input supports.
 
@@ -505,31 +496,7 @@ def invert(a: LCNumber, bound: BoundLike = None) -> LCNumber:
     """
     if bound is not None:
         a = truncated(a, bound)
-    if not a.terms:
-        raise ZeroDivisionError("inverse of zero")
-    lam, c, eps = _split_leading(a)
-    out_bound = _bsub(a.valid_to, 2 * lam)
-    if out_bound < -lam:
-        raise PrecisionError("validity window leaves no representable terms for the inverse")
-    if not eps.terms:
-        return LCNumber(((-lam, 1.0 / c),), out_bound)
-    series_bound = _bsub(a.valid_to, lam)
-    if series_bound == INF:
-        raise PrecisionError(
-            "inverse of an unbounded non-monomial series has infinite support; "
-            "truncate the input or pass bound=...")
-    q_eps = eps.terms[0][0]
-    n_terms = int(series_bound / q_eps) + 1  # later powers cannot reach the window
-    neg_eps = -eps
-    acc = constant(1.0)
-    power = constant(1.0)
-    for _ in range(1, n_terms):
-        power = truncated(_mul(power, neg_eps), series_bound)
-        if not power.terms:
-            break
-        acc = acc + power
-    acc = truncated(acc, series_bound)
-    return shift_exponents(_mul(acc, constant(1.0 / c)), -lam)
+    return _kernel(_lattice.invert, a)
 
 
 def sqrt(a: LCNumber, bound: BoundLike = None) -> LCNumber:
@@ -541,37 +508,7 @@ def sqrt(a: LCNumber, bound: BoundLike = None) -> LCNumber:
     """
     if bound is not None:
         a = truncated(a, bound)
-    if not a.terms:
-        return LCNumber((), _bhalf(a.valid_to))
-    if not is_real(a):
-        raise DomainError("square root of a number with complex coefficients")
-    lam, c, eps = _split_leading(a)
-    c = c.real
-    if c < 0:
-        raise DomainError("square root of a negative number")
-    out_bound = _bsub(a.valid_to, lam / 2)
-    root_c = math.sqrt(c)
-    half_lam = lam / 2
-    if not eps.terms:
-        return LCNumber(((half_lam, complex(root_c)),), out_bound)
-    series_bound = _bsub(a.valid_to, lam)
-    if series_bound == INF:
-        raise PrecisionError(
-            "square root of an unbounded non-monomial series has infinite support; "
-            "truncate the input or pass bound=...")
-    q_eps = eps.terms[0][0]
-    n_terms = int(series_bound / q_eps) + 1
-    acc = constant(1.0)
-    power = constant(1.0)
-    coeff = 1.0  # binomial(1/2, k), updated iteratively
-    for k in range(1, n_terms):
-        coeff *= (0.5 - (k - 1)) / k
-        power = truncated(_mul(power, eps), series_bound)
-        if not power.terms:
-            break
-        acc = acc + _mul(power, constant(coeff))
-    acc = truncated(acc, series_bound)
-    return shift_exponents(_mul(acc, constant(root_c)), half_lam)
+    return _kernel(_lattice.sqrt, a)
 
 
 # -- complex structure --------------------------------------------------------
@@ -588,10 +525,4 @@ def magnitude(z: LCNumber) -> LCNumber:
     the leading coefficient); only genuinely complex inputs pay for the
     square-root series.
     """
-    if not z.terms:
-        return z
-    if is_real(z):
-        return z if z.terms[0][1].real > 0 else -z
-    re = real_part(z)
-    im = imag_part(z)
-    return sqrt(_mul(re, re) + _mul(im, im))
+    return _kernel(_lattice.magnitude, z)

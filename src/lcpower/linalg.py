@@ -3,7 +3,9 @@
 Provides the matrix action, vector norms (max and l2), Rayleigh
 quotients, Gershgorin disks, the constant-part projection onto plain
 complex matrices, monomial rescaling, and companion matrices of monic
-polynomials.  Everything is immutable; every function is pure.
+polynomials.  Everything is immutable; every function is pure.  The
+matrix action, the norms and the Rayleigh quotient convert to int
+exponent keys and call :mod:`lcpower._lattice`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from . import core
-from .core import LCNumber, as_exponent
+from . import _lattice, core
+from .core import LCNumber, Lattice, as_exponent
 from .errors import DegenerateInputError, DomainError
 
 __all__ = [
@@ -146,15 +148,9 @@ class Polynomial:
 
 
 def matvec(A: LCMatrix, x: LCVector) -> LCVector:
-    if A.n != len(x):
-        raise DegenerateInputError(f"dimension mismatch: {A.n}x{A.n} vs {len(x)}")
-    out = []
-    for row in A.rows:
-        acc = core.zero()
-        for a_ij, x_j in zip(row, x.entries):
-            acc = acc + a_ij * x_j
-        out.append(acc)
-    return LCVector(out)
+    lat = Lattice([e for row in A.rows for e in row] + list(x.entries))
+    M = tuple(lat.vector(row) for row in A.rows)
+    return LCVector(lat.to_numbers(_lattice.matvec(M, lat.vector(x))))
 
 
 def min_valuation(A: LCMatrix) -> Fraction:
@@ -174,21 +170,10 @@ def scale_by_monomial(A: LCMatrix, shift) -> LCMatrix:
 # -- norms --------------------------------------------------------------------
 
 
-def _sum_abs_squares(x: LCVector) -> LCNumber:
-    # sum |x_i|^2 through the real/imaginary decomposition, so the result
-    # carries exactly real coefficients (no conjugation residue).
-    acc = core.zero()
-    for e in x.entries:
-        re = core.real_part(e)
-        im = core.imag_part(e)
-        acc = acc + re * re + im * im
-    return acc
-
-
 def norm_l2(x: LCVector) -> LCNumber:
     """sqrt(|x_1|^2 + ... + |x_n|^2); zero exactly for the zero vector."""
-    s = _sum_abs_squares(x)
-    return core.sqrt(s)
+    lat = Lattice(x.entries)
+    return lat.to_number(_lattice.sqrt(_lattice._sum_abs_squares(lat.vector(x))))
 
 
 class MaxNorm(NamedTuple):
@@ -206,33 +191,9 @@ def norm_max_info(x: LCVector) -> MaxNorm:
     compared when entries tie there, so the square-root series is paid
     once for the winner, not per entry.
     """
-    def lead_key(e: LCNumber):
-        if not e.terms:
-            return (1, Fraction(0), 0.0)  # zero sorts below everything
-        q, c = e.terms[0]
-        return (0, q, abs(c))
-
-    keys = [lead_key(e) for e in x.entries]
-    best_i = 0
-    for i in range(1, len(keys)):
-        zb, qb, mb = keys[best_i]
-        zi, qi, mi = keys[i]
-        if zi < zb or (zi == zb == 0 and (qi < qb or (qi == qb and mi > mb * (1 + 1e-12)))):
-            best_i = i
-    zb, qb, mb = keys[best_i]
-    finalists = [i for i, (z, q, m) in enumerate(keys)
-                 if z == zb and (zb == 1 or (q == qb and m >= mb * (1 - 1e-12)))]
-    best = core.magnitude(x.entries[finalists[0]])
-    best_i = finalists[0]
-    tie = False
-    for i in finalists[1:]:
-        m = core.magnitude(x.entries[i])
-        cmp = core.compare(m, best)
-        if cmp > 0:
-            best, best_i, tie = m, i, False
-        elif cmp == 0:
-            tie = True
-    return MaxNorm(best, best_i, tie)
+    lat = Lattice(x.entries)
+    value, index, tie = _lattice.norm_max(lat.vector(x))
+    return MaxNorm(lat.to_number(value), index, tie)
 
 
 def norm_max(x: LCVector) -> Tuple[LCNumber, int]:
@@ -245,15 +206,8 @@ def norm_max(x: LCVector) -> Tuple[LCNumber, int]:
 
 def rayleigh_quotient_from_action(u: LCVector, au: LCVector) -> LCNumber:
     """(u* au) / ||u||_2^2 given the already-computed matrix action au."""
-    if u.is_zero():
-        raise DegenerateInputError("Rayleigh quotient of the zero vector")
-    s = _sum_abs_squares(u)
-    if core.constant_part(s).real <= 0.0:
-        raise DegenerateInputError("vector norm has vanishing constant part")
-    num = core.zero()
-    for u_i, au_i in zip(u.entries, au.entries):
-        num = num + core.conjugate(u_i) * au_i
-    return num * core.invert(s)
+    lat = Lattice(u.entries + au.entries)
+    return lat.to_number(_lattice.rayleigh(lat.vector(u), lat.vector(au)))
 
 
 def rayleigh_quotient(A: LCMatrix, u: LCVector) -> LCNumber:

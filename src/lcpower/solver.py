@@ -9,10 +9,11 @@ window (the weakly-Cauchy stopping rule).  The eigenvalue of the original
 matrix is recovered as rho * mu1 * t^(q0).
 
 The loop runs on an integer exponent lattice (1/D)Z fixed when ``solve``
-is entered (:mod:`lcpower._lattice`): the normalized matrix and the start
-vector are converted once, each step's iterate and Rayleigh quotient are
-converted back for the trace, and the results are bit-identical to the
-same loop on :mod:`lcpower.core` arithmetic.
+is entered: the normalized matrix and the start vector are converted once
+(:class:`lcpower.core.Lattice`), every step calls the kernels of
+:mod:`lcpower._lattice`, and each step's iterate, Rayleigh quotient and
+recovered eigenvalue are converted back for the trace.  A start vector
+that loses its dominant component gets one restart (see :func:`solve`).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import _lattice, core
-from .core import LCNumber, as_exponent
-from .errors import DegenerateInputError, DominanceUncertainError
+from .core import LCNumber, Lattice, as_exponent
+from .errors import DegenerateInputError, DominanceUncertainError, LostDominanceError
 from .linalg import (LCMatrix, LCVector, Polynomial, companion_matrix, matvec,
                      min_valuation, pi_matrix, poly_eval, scale_by_monomial)
 
@@ -247,35 +248,14 @@ def power_step(A_norm: LCMatrix, x: LCVector, norm_kind: str, truncation
     truncation = core.as_bound(truncation)
     lat, M, xs = _on_lattice(A_norm, x, truncation)
     x_new, tie = _lattice.normalize(_lattice.matvec(M, xs), norm_kind, lat.key(truncation))
-    return lat.to_vector(x_new), tie
+    return LCVector(lat.to_numbers(x_new)), tie
 
 
 def _on_lattice(A_norm: LCMatrix, x: LCVector, *exponents):
     """The lattice of a loop over ``A_norm`` from ``x`` (with ``exponents``
     on it too), and the matrix and the vector converted to it."""
-    lat = _lattice.Lattice([e for row in A_norm.rows for e in row] + list(x), exponents)
+    lat = Lattice([e for row in A_norm.rows for e in row] + list(x), exponents)
     return lat, tuple(lat.vector(row) for row in A_norm.rows), lat.vector(x)
-
-
-def _phase_aligned(x: LCVector) -> Tuple[LCVector, bool]:
-    """Divide by the unit-modulus phase of the pivot entry's constant
-    coefficient, making it real positive.  The weak limit is only defined
-    up to a phase absorbed by the real-valued norm.
-
-    The pivot is the entry with the largest constant-coefficient modulus
-    (machine floats suffice here; the full series order is irrelevant to
-    a phase choice)."""
-    mags = [abs(e[0]) for e in x.entries]
-    best = max(mags)
-    pivot = mags.index(best)
-    tie = best > 0.0 and mags.count(best) > 1
-    c0 = x[pivot][0]
-    if c0 == 0j:
-        return x, tie
-    phase = c0 / abs(c0)
-    if phase == 1.0 + 0j:
-        return x, tie
-    return x * core.constant(phase.conjugate()), tie
 
 
 def weakly_converged(x_prev: LCVector, x_curr: LCVector,
@@ -284,11 +264,11 @@ def weakly_converged(x_prev: LCVector, x_curr: LCVector,
     """Weakly-Cauchy test: after phase alignment, every entry difference
     and the Rayleigh-quotient difference stay below tol on exponents <= r."""
     r = as_exponent(r)
-    lat = _lattice.Lattice([*x_prev, *x_curr, rho_prev, rho_curr], [r])
+    lat = Lattice([*x_prev, *x_curr, rho_prev, rho_curr], [r])
     a, _ = _lattice.phase_aligned(lat.vector(x_prev))
     b, _ = _lattice.phase_aligned(lat.vector(x_curr))
     return _lattice.weakly_converged(a, b, lat.number(rho_prev), lat.number(rho_curr),
-                                     lat.key(r), tol, lat)
+                                     lat.key(r), tol, lat.D)
 
 
 def _start_vector(cfg: SolverConfig, n: int) -> LCVector:
@@ -312,10 +292,54 @@ def _start_vector(cfg: SolverConfig, n: int) -> LCVector:
     return LCVector(entries).retruncated(cfg.truncation)
 
 
-def _recover(rho: LCNumber, mu1: complex, q0: Fraction) -> LCNumber:
-    # nu1 = rho * mu1 * t^(q0), composed exactly in this order.
-    # A = t^(q0) * A_shifted, so the eigenvalue scales by t^(+q0).
-    return core.shift_exponents(rho * core.constant(mu1), q0)
+def _dominant_start(A: LCMatrix, q0: Fraction, cfg: SolverConfig) -> LCVector:
+    """The dominant eigenvector of the constant-part matrix, as the power
+    iteration of :func:`precondition` converged to it (same matrix,
+    iteration count, tolerance and seed)."""
+    B = pi_matrix(scale_by_monomial(A, -q0))
+    _mu, v, _ok, _residuals = _power_complex(B, cfg.complex_pi_iters,
+                                             cfg.complex_pi_tol, cfg.seed)
+    return LCVector([core.constant(complex(c)) for c in v]).retruncated(cfg.truncation)
+
+
+def _iterate(lat: Lattice, M, xs, cfg: SolverConfig, mu1: complex, q0: Fraction):
+    """The loop from ``xs`` on the solve's lattice.  Returns (trace, steps,
+    converged, phase-aligned last iterate, pivot tie seen)."""
+    trunc, window, q0_key = lat.key(cfg.truncation), lat.key(cfg.window), lat.key(q0)
+    mu = _lattice.constant(mu1)
+
+    def record(k, xs, rho):
+        # nu1 = rho * mu1 * t^(q0), composed exactly in this order.
+        # A = t^(q0) * A_shifted, so the eigenvalue scales by t^(+q0).
+        nu = _lattice.shift(_lattice.mul(rho, mu), q0_key)
+        return TraceStep(k, LCVector(lat.to_numbers(xs)), lat.to_number(rho),
+                         lat.to_number(nu))
+
+    # a pivot tie in the user-chosen start (e.g. all-ones) is not the
+    # degeneracy the warning flag tracks, so it is not collected here
+    xs, _start_tie = _lattice.normalize(xs, cfg.norm_kind, trunc)
+    # one matrix action per step, shared between the Rayleigh quotient of
+    # the current iterate and the next normalization
+    ax = _lattice.matvec(M, xs)
+    rho = _lattice.retruncate(_lattice.rayleigh(xs, ax), trunc)
+    aligned, aligned_tie = _lattice.phase_aligned(xs)
+    trace = IterationTrace([record(0, xs, rho)])
+
+    tie_any = converged = False
+    k = 0
+    for k in range(1, cfg.max_iters + 1):
+        xs, tie = _lattice.normalize(ax, cfg.norm_kind, trunc)
+        tie_any |= tie
+        ax = _lattice.matvec(M, xs)
+        rho_new = _lattice.retruncate(_lattice.rayleigh(xs, ax), trunc)
+        trace.steps.append(record(k, xs, rho_new))
+        aligned_new, aligned_tie = _lattice.phase_aligned(xs)
+        converged = _lattice.weakly_converged(aligned, aligned_new, rho, rho_new,
+                                              window, cfg.tol, lat.D)
+        aligned, rho = aligned_new, rho_new
+        if converged:
+            break
+    return trace, k, converged, LCVector(lat.to_numbers(aligned)), tie_any or aligned_tie
 
 
 def _residual(A: LCMatrix, v: LCVector, nu: LCNumber, window):
@@ -332,9 +356,13 @@ def _residual(A: LCMatrix, v: LCVector, nu: LCNumber, window):
 def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     """Dominant eigenpair of a diagonalizable matrix over the field.
 
-    Diagonalizability and a start vector with a dominant component are the
-    caller's responsibility (a random start makes the latter hold almost
-    surely).  On non-convergence the full trace is still returned with
+    Diagonalizability is the caller's responsibility.  When a step loses
+    the constant part of the iterate's norm (``LostDominanceError``, or a
+    Rayleigh quotient whose norm has a vanishing constant part), the start
+    vector had numerically no component along the dominant eigenvector:
+    the loop then runs once more from the dominant eigenvector of the
+    constant-part matrix, and the trace and the step count are those of
+    that run.  On non-convergence the full trace is still returned with
     ``converged=False``.
 
     The vector-convergence guarantee holds for real-series eigenvalues.
@@ -346,48 +374,21 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     ``residual``.
     """
     a_norm, q0, mu1 = precondition(A, cfg)
-    x = _start_vector(cfg, A.n)
-    # every exponent of the loop lies on one lattice fixed here, so the
-    # loop runs on int exponent keys; results are bit-identical to core
-    lat, M, xs = _on_lattice(a_norm, x, cfg.truncation, cfg.window)
-    trunc, window = lat.key(cfg.truncation), lat.key(cfg.window)
-    tie_any = False
-
-    # a pivot tie in the user-chosen start (e.g. all-ones) is not the
-    # degeneracy the warning flag tracks, so it is not collected here
-    xs, _start_tie = _lattice.normalize(xs, cfg.norm_kind, trunc)
-    # one matrix action per step, shared between the Rayleigh quotient of
-    # the current iterate and the next normalization
-    ax = _lattice.matvec(M, xs)
-    rho = _lattice.retruncate(_lattice.rayleigh(xs, ax), trunc)
-    aligned, _ = _lattice.phase_aligned(xs)
-    x, rho_lc = lat.to_vector(xs), lat.to_number(rho)
-    trace = IterationTrace([TraceStep(0, x, rho_lc, _recover(rho_lc, mu1, q0))])
-
-    converged = False
-    k = 0
-    for k in range(1, cfg.max_iters + 1):
-        xs, tie = _lattice.normalize(ax, cfg.norm_kind, trunc)
-        tie_any |= tie
-        ax = _lattice.matvec(M, xs)
-        rho_new = _lattice.retruncate(_lattice.rayleigh(xs, ax), trunc)
-        x, rho_lc = lat.to_vector(xs), lat.to_number(rho_new)
-        trace.steps.append(TraceStep(k, x, rho_lc, _recover(rho_lc, mu1, q0)))
-        aligned_new, _ = _lattice.phase_aligned(xs)
-        done = _lattice.weakly_converged(aligned, aligned_new, rho, rho_new,
-                                         window, cfg.tol, lat)
-        aligned, rho = aligned_new, rho_new
-        if done:
-            converged = True
-            break
-
-    x, tie = _phase_aligned(x)
-    tie_any |= tie
+    lat, M, xs = _on_lattice(a_norm, _start_vector(cfg, A.n),
+                             cfg.truncation, cfg.window, q0)
+    try:
+        trace, k, converged, x, tie = _iterate(lat, M, xs, cfg, mu1, q0)
+    except (LostDominanceError, DegenerateInputError):
+        # roundoff wiped out the start's dominant component (a start close
+        # to another eigenvector); the restart's constant entries lie on
+        # the lattice
+        xs = lat.vector(_dominant_start(A, q0, cfg))
+        trace, k, converged, x, tie = _iterate(lat, M, xs, cfg, mu1, q0)
     nu1 = trace.steps[-1].estimate
     residual, rwin = _residual(A, x, nu1, cfg.window)
     result = EigenResult(
         eigenvalue=nu1, eigenvector=x, q0=q0, mu1=mu1,
-        iterations_used=k, converged=converged, pivot_tie_warning=tie_any,
+        iterations_used=k, converged=converged, pivot_tie_warning=tie,
         residual=residual, residual_window=rwin)
     return result, trace
 

@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .core import LCNumber, as_exponent, from_terms
-from .errors import DomainError
+from lcpower.core import LCNumber, as_exponent, from_terms
+from lcpower.errors import DomainError
 
 __all__ = [
-    "OracleReport",
     "series_inv_longdiv",
     "series_sqrt_newton",
     "eig2x2_symbolic",
@@ -29,15 +27,6 @@ __all__ = [
     "charpoly_roots_complex",
     "poly_roots_complex",
 ]
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Record of one oracle evaluation, for test logs."""
-    oracle: str
-    inputs: str
-    output: str
-    method: str
 
 
 # -- dictionary arithmetic (private to the oracles) --------------------------

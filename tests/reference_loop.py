@@ -1,21 +1,232 @@
-"""The power-iteration loop on LCVector / core arithmetic, kept as the
-reference the lattice kernel of :func:`lcpower.solver.solve` must match
+"""The series kernels and the power-iteration loop on ``Fraction``
+exponents, kept as the reference that :mod:`lcpower._lattice` must match
 bit for bit.
 
-This is the solver loop as it ran before the loop moved onto integer
-exponent keys: every step works on ``Fraction`` exponents through
-:mod:`lcpower.core` and :mod:`lcpower.linalg`.  Set-up, recovery, the
-final phase alignment and the residual are the solver's own.
+These are the product, inverse, square root and magnitude of
+:mod:`lcpower.core`, the matrix action, norms and Rayleigh quotient of
+:mod:`lcpower.linalg`, and the loop of :func:`lcpower.solver.solve`, as
+they ran before all of them moved onto int exponent keys.  Nothing here
+calls the kernel: products go through :func:`mul`, never through ``*``.
+Addition, truncation, constants, the start vector and the constant-part
+power iteration are the package's own (they never used the kernel).  The
+loop has no restart: it raises where ``solve`` restarts.
 """
 
+import math
+from fractions import Fraction
+
 from lcpower import core
-from lcpower.core import as_exponent
-from lcpower.errors import LostDominanceError
-from lcpower.linalg import (matvec, norm_l2, norm_max_info,
-                            rayleigh_quotient_from_action)
+from lcpower.core import (INF, LCNumber, as_exponent, constant, is_real,
+                          shift_exponents, truncated)
+from lcpower.errors import (DegenerateInputError, DomainError,
+                            LostDominanceError, PrecisionError)
+from lcpower.linalg import (LCVector, MaxNorm, min_valuation, pi_matrix,
+                            scale_by_monomial)
 from lcpower.solver import (EigenResult, IterationTrace, TraceStep,
-                            _phase_aligned, _recover, _residual, _start_vector,
-                            precondition)
+                            _start_vector, estimate_dominant_complex)
+
+# -- numbers ------------------------------------------------------------------------
+
+
+def _bsub(x, y):
+    return INF if x == INF else x - y
+
+
+def mul(a, b):
+    if not a.terms or not b.terms:
+        return LCNumber((), INF)
+    la = a.terms[0][0]
+    lb = b.terms[0][0]
+    bound = core._bmin(core._badd(a.valid_to, lb), core._badd(b.valid_to, la))
+    # convolve on a common integer exponent grid
+    grid = 1
+    for q, _ in a.terms + b.terms:
+        grid = grid * q.denominator // math.gcd(grid, q.denominator)
+    if bound != INF:
+        grid = grid * bound.denominator // math.gcd(grid, bound.denominator)
+        ibound = bound.numerator * (grid // bound.denominator)
+    else:
+        ibound = None
+    ia = [(q.numerator * (grid // q.denominator), c) for q, c in a.terms]
+    ib = [(q.numerator * (grid // q.denominator), c) for q, c in b.terms]
+    lb_i = ib[0][0]
+    acc = {}
+    for qa, ca in ia:
+        if ibound is not None and qa + lb_i > ibound:
+            break
+        for qb, cb in ib:
+            q = qa + qb
+            if ibound is not None and q > ibound:
+                break
+            acc[q] = acc.get(q, 0j) + ca * cb
+    if not acc:
+        return LCNumber((), bound)
+    max_mag = max(abs(c) for c in acc.values())
+    if not math.isfinite(max_mag):
+        raise ValueError("coefficient overflow in multiplication")
+    eps = max(core.EPS_REL * max_mag, core.EPS_FLOOR)
+    return LCNumber(tuple((Fraction(q, grid), c)
+                          for q, c in sorted(acc.items()) if abs(c) > eps), bound)
+
+
+def _split_leading(a):
+    lam, c = a.terms[0]
+    tail = tuple((q - lam, cq / c) for q, cq in a.terms[1:])
+    return lam, c, LCNumber(tail, _bsub(a.valid_to, lam))
+
+
+def _series_window(a, lam, kind):
+    series_bound = _bsub(a.valid_to, lam)
+    if series_bound == INF:
+        raise PrecisionError(
+            f"{kind} of an unbounded non-monomial series has infinite support; "
+            "truncate the input or pass bound=...")
+    return series_bound
+
+
+def invert(a):
+    if not a.terms:
+        raise ZeroDivisionError("inverse of zero")
+    lam, c, eps = _split_leading(a)
+    out_bound = _bsub(a.valid_to, 2 * lam)
+    if out_bound < -lam:
+        raise PrecisionError("validity window leaves no representable terms for the inverse")
+    if not eps.terms:
+        return LCNumber(((-lam, 1.0 / c),), out_bound)
+    series_bound = _series_window(a, lam, "inverse")
+    n_terms = int(series_bound / eps.terms[0][0]) + 1
+    neg_eps = -eps
+    acc = power = constant(1.0)
+    for _ in range(1, n_terms):
+        power = truncated(mul(power, neg_eps), series_bound)
+        if not power.terms:
+            break
+        acc = acc + power
+    acc = truncated(acc, series_bound)
+    return shift_exponents(mul(acc, constant(1.0 / c)), -lam)
+
+
+def sqrt(a):
+    if not a.terms:
+        return LCNumber((), INF if a.valid_to == INF else a.valid_to / 2)
+    if not is_real(a):
+        raise DomainError("square root of a number with complex coefficients")
+    lam, c, eps = _split_leading(a)
+    c = c.real
+    if c < 0:
+        raise DomainError("square root of a negative number")
+    root_c = math.sqrt(c)
+    if not eps.terms:
+        return LCNumber(((lam / 2, complex(root_c)),), _bsub(a.valid_to, lam / 2))
+    series_bound = _series_window(a, lam, "square root")
+    n_terms = int(series_bound / eps.terms[0][0]) + 1
+    acc = power = constant(1.0)
+    coeff = 1.0  # binomial(1/2, k), updated iteratively
+    for k in range(1, n_terms):
+        coeff *= (0.5 - (k - 1)) / k
+        power = truncated(mul(power, eps), series_bound)
+        if not power.terms:
+            break
+        acc = acc + mul(power, constant(coeff))
+    acc = truncated(acc, series_bound)
+    return shift_exponents(mul(acc, constant(root_c)), lam / 2)
+
+
+def magnitude(z):
+    if not z.terms:
+        return z
+    if is_real(z):
+        return z if z.terms[0][1].real > 0 else -z
+    re, im = core.real_part(z), core.imag_part(z)
+    return sqrt(mul(re, re) + mul(im, im))
+
+
+# -- vectors ------------------------------------------------------------------------
+
+
+def scaled(x, s):
+    return LCVector([mul(e, s) for e in x.entries])
+
+
+def matvec(A, x):
+    if A.n != len(x):
+        raise DegenerateInputError(f"dimension mismatch: {A.n}x{A.n} vs {len(x)}")
+    out = []
+    for row in A.rows:
+        acc = core.zero()
+        for a_ij, x_j in zip(row, x.entries):
+            acc = acc + mul(a_ij, x_j)
+        out.append(acc)
+    return LCVector(out)
+
+
+def _sum_abs_squares(x):
+    acc = core.zero()
+    for e in x.entries:
+        re, im = core.real_part(e), core.imag_part(e)
+        acc = acc + mul(re, re) + mul(im, im)
+    return acc
+
+
+def norm_l2(x):
+    return sqrt(_sum_abs_squares(x))
+
+
+def norm_max_info(x):
+    def lead_key(e):
+        if not e.terms:
+            return (1, Fraction(0), 0.0)  # zero sorts below everything
+        q, c = e.terms[0]
+        return (0, q, abs(c))
+
+    keys = [lead_key(e) for e in x.entries]
+    best_i = 0
+    for i in range(1, len(keys)):
+        zb, qb, mb = keys[best_i]
+        zi, qi, mi = keys[i]
+        if zi < zb or (zi == zb == 0 and (qi < qb or (qi == qb and mi > mb * (1 + 1e-12)))):
+            best_i = i
+    zb, qb, mb = keys[best_i]
+    finalists = [i for i, (z, q, m) in enumerate(keys)
+                 if z == zb and (zb == 1 or (q == qb and m >= mb * (1 - 1e-12)))]
+    best_i, tie = finalists[0], False
+    best = magnitude(x.entries[best_i])
+    for i in finalists[1:]:
+        m = magnitude(x.entries[i])
+        cmp = core.compare(m, best)
+        if cmp > 0:
+            best, best_i, tie = m, i, False
+        elif cmp == 0:
+            tie = True
+    return MaxNorm(best, best_i, tie)
+
+
+def rayleigh_quotient_from_action(u, au):
+    if u.is_zero():
+        raise DegenerateInputError("Rayleigh quotient of the zero vector")
+    s = _sum_abs_squares(u)
+    if core.constant_part(s).real <= 0.0:
+        raise DegenerateInputError("vector norm has vanishing constant part")
+    num = core.zero()
+    for u_i, au_i in zip(u.entries, au.entries):
+        num = num + mul(core.conjugate(u_i), au_i)
+    return mul(num, invert(s))
+
+
+def phase_aligned(x):
+    mags = [abs(e[0]) for e in x.entries]
+    best = max(mags)
+    tie = best > 0.0 and mags.count(best) > 1
+    c0 = x[mags.index(best)][0]
+    if c0 == 0j:
+        return x, tie
+    phase = c0 / abs(c0)
+    if phase == 1.0 + 0j:
+        return x, tie
+    return scaled(x, constant(phase.conjugate())), tie
+
+
+# -- the loop -----------------------------------------------------------------------
 
 
 def normalize_vector(y, norm_kind, truncation):
@@ -29,8 +240,7 @@ def normalize_vector(y, norm_kind, truncation):
         raise LostDominanceError(
             "normalization lost its constant part; the start vector has "
             "numerically no component along the dominant eigenvector")
-    scaled = y * core.invert(nrm)
-    return scaled.retruncated(truncation), tie
+    return scaled(y, invert(nrm)).retruncated(truncation), tie
 
 
 def power_step(A_norm, x, norm_kind, truncation):
@@ -39,24 +249,44 @@ def power_step(A_norm, x, norm_kind, truncation):
 
 def weakly_converged(x_prev, x_curr, rho_prev, rho_curr, r, tol):
     r = as_exponent(r)
-    a, _ = _phase_aligned(x_prev)
-    b, _ = _phase_aligned(x_curr)
+    a, _ = phase_aligned(x_prev)
+    b, _ = phase_aligned(x_curr)
     for ea, eb in zip(a.entries, b.entries):
         if core.semi_norm(ea - eb, r) >= tol:
             return False
     return core.semi_norm(rho_curr - rho_prev, r) < tol
 
 
+def precondition(A, cfg):
+    q0 = min_valuation(A)
+    shifted = scale_by_monomial(A, -q0)
+    mu1, _ratio = estimate_dominant_complex(
+        pi_matrix(shifted), cfg.complex_pi_iters, cfg.complex_pi_tol, cfg.seed)
+    inv_mu = constant(1.0 / mu1)
+    return shifted.map(lambda e: mul(e, inv_mu)), q0, mu1
+
+
+def recover(rho, mu1, q0):
+    return shift_exponents(mul(rho, constant(mu1)), q0)
+
+
+def residual(A, v, nu, window):
+    diffs = [a_i - b_i for a_i, b_i in zip(matvec(A, v).entries, scaled(v, nu).entries)]
+    rwin = window
+    for d in diffs:
+        rwin = core._bmin(rwin, d.valid_to)
+    return max((core.semi_norm(d, rwin) for d in diffs), default=0.0), rwin
+
+
 def solve(A, cfg):
     a_norm, q0, mu1 = precondition(A, cfg)
-    rho_window = cfg.window
     tie_any = False
 
     x = _start_vector(cfg, A.n)
     x, _start_tie = normalize_vector(x, cfg.norm_kind, cfg.truncation)
     ax = matvec(a_norm, x)
     rho = core.retruncate(rayleigh_quotient_from_action(x, ax), cfg.truncation)
-    trace = IterationTrace([TraceStep(0, x, rho, _recover(rho, mu1, q0))])
+    trace = IterationTrace([TraceStep(0, x, rho, recover(rho, mu1, q0))])
 
     converged = False
     k = 0
@@ -66,19 +296,19 @@ def solve(A, cfg):
         ax = matvec(a_norm, x_new)
         rho_new = core.retruncate(rayleigh_quotient_from_action(x_new, ax),
                                   cfg.truncation)
-        trace.steps.append(TraceStep(k, x_new, rho_new, _recover(rho_new, mu1, q0)))
-        done = weakly_converged(x, x_new, rho, rho_new, rho_window, cfg.tol)
+        trace.steps.append(TraceStep(k, x_new, rho_new, recover(rho_new, mu1, q0)))
+        done = weakly_converged(x, x_new, rho, rho_new, cfg.window, cfg.tol)
         x, rho = x_new, rho_new
         if done:
             converged = True
             break
 
-    x, tie = _phase_aligned(x)
+    x, tie = phase_aligned(x)
     tie_any |= tie
-    nu1 = _recover(rho, mu1, q0)
-    residual, rwin = _residual(A, x, nu1, rho_window)
+    nu1 = recover(rho, mu1, q0)
+    res, rwin = residual(A, x, nu1, cfg.window)
     result = EigenResult(
         eigenvalue=nu1, eigenvector=x, q0=q0, mu1=mu1,
         iterations_used=k, converged=converged, pivot_tie_warning=tie_any,
-        residual=residual, residual_window=rwin)
+        residual=res, residual_window=rwin)
     return result, trace

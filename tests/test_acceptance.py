@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from lcpower import cli, core, oracles
+from lcpower import cli, core
 from lcpower.core import compare, constant, eq_up_to, magnitude, truncated, zero
 from lcpower.errors import DomainError
 from lcpower.linalg import (LCMatrix, LCVector, all_eigenvalues_at_most_finite,
@@ -20,6 +20,7 @@ from lcpower.linalg import (LCMatrix, LCVector, all_eigenvalues_at_most_finite,
 from lcpower.solver import SolverConfig, solve
 from lcpower.textio import parse_series, serialize_series
 from experiment import degree21_polynomial, largest_root
+import oracles
 from randgen import (ALL_LAWS, noise_cleaned_diff, rand_lc, rand_nonzero,
                      random_dominated_2x2)
 

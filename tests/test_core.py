@@ -5,12 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from lcpower import core, oracles
+from lcpower import core
 from lcpower.core import (INF, compare, conjugate, constant, constant_part,
                           eq_up_to, from_terms, invert, magnitude, monomial,
                           retruncate, semi_norm, shift_exponents, sqrt, t,
                           truncated, valuation, zero)
 from lcpower.errors import DomainError, PrecisionError, WindowExceededError
+import oracles
 
 
 def lc(text):

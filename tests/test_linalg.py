@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from lcpower import core, oracles
+from lcpower import core
 from lcpower.core import (compare, constant, eq_up_to, magnitude, monomial,
                           truncated, valuation, zero)
 from lcpower.errors import DegenerateInputError, DomainError
@@ -15,6 +15,7 @@ from lcpower.linalg import (LCMatrix, LCVector, Polynomial,
                             norm_max, norm_max_info, pi_matrix, poly_eval,
                             rayleigh_quotient)
 from lcpower.textio import parse_matrix, parse_series
+import oracles
 from randgen import noise_cleaned_diff, rand_lc, rand_nonzero
 
 T = parse_series("t")

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from lcpower import core, oracles
+from lcpower import core
 from lcpower.core import constant, eq_up_to, semi_norm, shift_exponents, zero
 from lcpower.errors import (DegenerateInputError, DominanceUncertainError,
                             LostDominanceError)
@@ -15,6 +15,8 @@ from lcpower.solver import (SolverConfig, estimate_dominant_complex,
                             weakly_converged)
 from lcpower.textio import parse_matrix, parse_series
 from experiment import degree21_polynomial, largest_root
+import oracles
+import reference_loop
 from randgen import random_dominated_2x2
 
 
@@ -237,6 +239,37 @@ class TestSolve:
         assert semi_norm(rho_late - rho_prev, F(5)) < 1e-12
         assert abs(res.eigenvalue[0] - (3 + 1j)) < 1e-9
 
+
+# Random 2x2 draws (bench rand2x2 at seeds 19 and 77) whose all-ones start
+# lies close to the subdominant eigenvector: roundoff wipes out the
+# dominant component within a few steps, and the loop raises the named
+# error unless it restarts.
+LOST_START = {
+    LostDominanceError: (
+        "2.0896846348536835 - 0.21508547173172474*t^3; "
+        "-2.6393273894761364 - 0.07059629276403367*t^3\n"
+        "-2.106735512794197 - 0.08080968277912193*t^(1/2) + 0.10671963644435051*t^5; "
+        "1.552920754440966 - 0.049396145757861054*t^5 + 0.23805392642644402*t^6"),
+    DegenerateInputError: (
+        "-0.07848387525110745 - 0.08773271634269511*t^2 + 0.05008281828183586*t^6; "
+        "1.4126848534751701 + 0.23387905692999372*t^6\n"
+        "2.225885637964393 - 0.27013163782988575*t^(1/2); "
+        "-0.8962767590555512 - 0.02326211541997264*t^2"),
+}
+
+
+@pytest.mark.parametrize("error", sorted(LOST_START, key=lambda e: e.__name__),
+                         ids=lambda e: e.__name__)
+def test_restart_when_start_loses_dominance(error):
+    A = parse_matrix(LOST_START[error])
+    cfg = SolverConfig(truncation=F(6), max_iters=600, tol=1e-12, start="ones")
+    with pytest.raises(error):  # the loop without the restart
+        reference_loop.solve(A, cfg)
+    res, _ = solve(A, cfg)
+    nu1, _nu2 = oracles.eig2x2_symbolic(A, 6)
+    assert res.converged
+    assert eq_up_to(res.eigenvalue, nu1, 6, 1e-8)
+    assert res.residual < 1e-10
 
 class TestPolyRoot:
     def test_linear(self):
