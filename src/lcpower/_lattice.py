@@ -13,6 +13,13 @@ for the matrix action, the norms and the Rayleigh quotient, and
 :func:`lcpower.solver.solve` runs its whole loop here.  Nothing here
 imports the rest of the package apart from :mod:`lcpower.errors`.
 A value that would leave the lattice raises :class:`LatticeError`.
+
+The matrix action has two paths.  :func:`matvec` here serves matrices with
+fewer than :data:`lcpower._lattice_np.MIN_PAIRS` stored (nonempty)
+entries, :func:`lcpower.linalg.matvec` and the residual, and it is the
+reference of the other: :class:`lcpower._lattice_np.MatrixAction`, the
+same float operations on numpy arrays, which ``solve`` uses for larger
+matrices.
 """
 
 from __future__ import annotations
@@ -79,6 +86,9 @@ def add(a, b):
     merged.extend(tb[j:])
     mags = [abs(c) for _, c in merged]
     max_mag = max(mags, default=0.0)
+    # finite terms sum to inf, never to NaN, so the max sees an overflow
+    if not math.isfinite(max_mag):
+        raise ValueError("coefficient overflow in addition")
     if max_mag == 0.0:
         return (), bound
     eps = max(EPS_REL * max_mag, EPS_FLOOR)
@@ -122,9 +132,11 @@ def mul(a, b):
     if not acc:
         return (), bound
     mags = list(map(abs, acc.values()))
-    max_mag = max(mags)
-    if not math.isfinite(max_mag):
+    # inf - inf in a product gives a NaN, which max() skips unless it comes
+    # first; the sum sees it, and only a sum of huge finite ones needs all()
+    if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
         raise ValueError("coefficient overflow in multiplication")
+    max_mag = max(mags)
     eps = max(EPS_REL * max_mag, EPS_FLOOR)
     items = sorted(acc.items())
     if min(mags) > eps:

@@ -24,16 +24,15 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .core import LCNumber, as_exponent
+from .core import LCNumber
 from .errors import DominanceUncertainError, LCError, ParseError
 from .linalg import all_eigenvalues_at_most_finite, gershgorin_disks
 from .solver import EigenResult, IterationTrace, SolverConfig, poly_dominant_root, solve
-from .textio import (parse_config, parse_matrix, parse_polynomial, parse_series,
-                     parse_vector, serialize_series)
+from .textio import (CONFIG_KEYS, parse_config, parse_matrix, parse_polynomial,
+                     parse_series, serialize_series)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -105,37 +104,14 @@ def _config_from_args(args) -> SolverConfig:
     """Config file values overridden by flags; ``SolverConfig`` supplies
     every key neither sets."""
     values = parse_config(args.config.read_text()) if args.config is not None else {}
-    for key, flag in (("truncation", args.truncation),
-                      ("max_iters", args.max_iters),
-                      ("tol", args.tol),
-                      ("check_window", args.check_window),
-                      ("norm", args.norm),
-                      ("start", args.start)):
+    for key, _, _ in CONFIG_KEYS:
+        flag = getattr(args, key, None)  # the complex_pi_* keys have no flag
         if flag is not None:
             values[key] = flag
     if "truncation" not in values:
         raise ParseError("truncation is required (flag --truncation or config file)")
-    kwargs = {}
-    for key, name, convert in (("truncation", "truncation", _exponent),
-                               ("max_iters", "max_iters", int),
-                               ("tol", "tol", float),
-                               ("check_window", "check_window",
-                                lambda v: _exponent(v) if v else None),
-                               ("norm", "norm_kind", str),
-                               ("start", "start", _start),
-                               ("complex_pi_iters", "complex_pi_iters", int),
-                               ("complex_pi_tol", "complex_pi_tol", float)):
-        if key in values:
-            kwargs[name] = convert(values[key])
-    return SolverConfig(**kwargs)
-
-
-def _exponent(value) -> Fraction:
-    return as_exponent(str(value))
-
-
-def _start(value: str):
-    return parse_vector(Path(value[5:]).read_text()) if value.startswith("file:") else value
+    return SolverConfig(**{name: convert(values[key])
+                           for key, name, convert in CONFIG_KEYS if key in values})
 
 
 def _result_document(manifest: RunManifest, result: EigenResult) -> str:

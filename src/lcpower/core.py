@@ -151,6 +151,8 @@ class LCNumber:
         if not merged:
             return LCNumber((), bound)
         max_mag = max(abs(c) for _, c in merged)
+        if not math.isfinite(max_mag):
+            raise ValueError("coefficient overflow in addition")
         if max_mag == 0.0:
             return LCNumber((), bound)
         eps = max(EPS_REL * max_mag, EPS_FLOOR)

@@ -12,8 +12,11 @@ The loop runs on an integer exponent lattice (1/D)Z fixed when ``solve``
 is entered: the normalized matrix and the start vector are converted once
 (:class:`lcpower.core.Lattice`), every step calls the kernels of
 :mod:`lcpower._lattice`, and each step's iterate, Rayleigh quotient and
-recovered eigenvalue are converted back for the trace.  A start vector
-that loses its dominant component gets one restart (see :func:`solve`).
+recovered eigenvalue are converted back for the trace.  The matrix action
+runs on numpy (:mod:`lcpower._lattice_np`) when the normalized matrix has
+at least ``_lattice_np.MIN_PAIRS`` stored entries, with the same result
+bits as the Python kernel.  A start vector that loses its dominant
+component gets one restart (see :func:`solve`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import _lattice, core
+from . import _lattice, _lattice_np, core
 from .core import LCNumber, Lattice, as_exponent
 from .errors import DegenerateInputError, DominanceUncertainError, LostDominanceError
 from .linalg import (LCMatrix, LCVector, Polynomial, companion_matrix, matvec,
@@ -302,9 +305,10 @@ def _dominant_start(A: LCMatrix, q0: Fraction, cfg: SolverConfig) -> LCVector:
     return LCVector([core.constant(complex(c)) for c in v]).retruncated(cfg.truncation)
 
 
-def _iterate(lat: Lattice, M, xs, cfg: SolverConfig, mu1: complex, q0: Fraction):
-    """The loop from ``xs`` on the solve's lattice.  Returns (trace, steps,
-    converged, phase-aligned last iterate, pivot tie seen)."""
+def _iterate(lat: Lattice, action, xs, cfg: SolverConfig, mu1: complex, q0: Fraction):
+    """The loop from ``xs`` on the solve's lattice, ``action`` being the
+    normalized matrix's action.  Returns (trace, steps, converged,
+    phase-aligned last iterate, pivot tie seen)."""
     trunc, window, q0_key = lat.key(cfg.truncation), lat.key(cfg.window), lat.key(q0)
     mu = _lattice.constant(mu1)
 
@@ -320,7 +324,7 @@ def _iterate(lat: Lattice, M, xs, cfg: SolverConfig, mu1: complex, q0: Fraction)
     xs, _start_tie = _lattice.normalize(xs, cfg.norm_kind, trunc)
     # one matrix action per step, shared between the Rayleigh quotient of
     # the current iterate and the next normalization
-    ax = _lattice.matvec(M, xs)
+    ax = action(xs)
     rho = _lattice.retruncate(_lattice.rayleigh(xs, ax), trunc)
     aligned, aligned_tie = _lattice.phase_aligned(xs)
     trace = IterationTrace([record(0, xs, rho)])
@@ -330,7 +334,7 @@ def _iterate(lat: Lattice, M, xs, cfg: SolverConfig, mu1: complex, q0: Fraction)
     for k in range(1, cfg.max_iters + 1):
         xs, tie = _lattice.normalize(ax, cfg.norm_kind, trunc)
         tie_any |= tie
-        ax = _lattice.matvec(M, xs)
+        ax = action(xs)
         rho_new = _lattice.retruncate(_lattice.rayleigh(xs, ax), trunc)
         trace.steps.append(record(k, xs, rho_new))
         aligned_new, aligned_tie = _lattice.phase_aligned(xs)
@@ -376,14 +380,15 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     a_norm, q0, mu1 = precondition(A, cfg)
     lat, M, xs = _on_lattice(a_norm, _start_vector(cfg, A.n),
                              cfg.truncation, cfg.window, q0)
+    action = _lattice_np.matrix_action(M)
     try:
-        trace, k, converged, x, tie = _iterate(lat, M, xs, cfg, mu1, q0)
+        trace, k, converged, x, tie = _iterate(lat, action, xs, cfg, mu1, q0)
     except (LostDominanceError, DegenerateInputError):
         # roundoff wiped out the start's dominant component (a start close
         # to another eigenvector); the restart's constant entries lie on
         # the lattice
         xs = lat.vector(_dominant_start(A, q0, cfg))
-        trace, k, converged, x, tie = _iterate(lat, M, xs, cfg, mu1, q0)
+        trace, k, converged, x, tie = _iterate(lat, action, xs, cfg, mu1, q0)
     nu1 = trace.steps[-1].estimate
     residual, rwin = _residual(A, x, nu1, cfg.window)
     result = EigenResult(

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from pathlib import Path
 from typing import List, Tuple
 
-from .core import INF, LCNumber, from_terms
+from .core import INF, LCNumber, as_exponent, from_terms
 from .errors import ParseError
 from .linalg import LCMatrix, LCVector, Polynomial
 
@@ -263,10 +264,31 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
+def _exponent(value) -> Fraction:
+    return as_exponent(str(value))
+
+
+def _start(value: str):
+    return parse_vector(Path(value[5:]).read_text()) if value.startswith("file:") else value
+
+
+#: The solver settings of a config file, which the CLI flags of the same
+#: names override: (config key, ``SolverConfig`` field, converter of the
+#: text or flag value).
+CONFIG_KEYS = (("truncation", "truncation", _exponent),
+               ("max_iters", "max_iters", int),
+               ("tol", "tol", float),
+               ("check_window", "check_window", lambda v: _exponent(v) if v else None),
+               ("norm", "norm_kind", str),
+               ("start", "start", _start),
+               ("complex_pi_iters", "complex_pi_iters", int),
+               ("complex_pi_tol", "complex_pi_tol", float))
+
+
 def parse_config(text: str) -> dict:
-    """Parse ``key = value`` lines into a string dictionary."""
-    known = {"truncation", "max_iters", "tol", "check_window", "norm",
-             "start", "complex_pi_iters", "complex_pi_tol"}
+    """Parse ``key = value`` lines into a string dictionary; the keys are
+    those of :data:`CONFIG_KEYS`."""
+    known = {key for key, _, _ in CONFIG_KEYS}
     out = {}
     for lineno, line in enumerate(_strip_comments(text).split("\n"), start=1):
         if not line.strip():

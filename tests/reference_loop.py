@@ -61,9 +61,10 @@ def mul(a, b):
             acc[q] = acc.get(q, 0j) + ca * cb
     if not acc:
         return LCNumber((), bound)
-    max_mag = max(abs(c) for c in acc.values())
-    if not math.isfinite(max_mag):
+    mags = [abs(c) for c in acc.values()]
+    if not all(map(math.isfinite, mags)):
         raise ValueError("coefficient overflow in multiplication")
+    max_mag = max(mags)
     eps = max(core.EPS_REL * max_mag, core.EPS_FLOOR)
     return LCNumber(tuple((Fraction(q, grid), c)
                           for q, c in sorted(acc.items()) if abs(c) > eps), bound)

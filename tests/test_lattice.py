@@ -13,6 +13,7 @@ solve-level test then checks that ``solve`` reproduces the reference loop
 byte for byte.
 """
 
+import functools
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcpower import _lattice as lk
+from lcpower import _lattice_np as lnp
 from lcpower import core, linalg, solver
 from lcpower.core import INF, Lattice
 from lcpower.linalg import LCMatrix, LCVector
@@ -151,6 +153,23 @@ def test_constant(x):
     same(lambda: core.constant(x), lambda: lat.to_number(lk.constant(x)))
 
 
+def test_overflow_raises():
+    # max() skipped key 2's NaN here and returned key 1 alone
+    a = (((0, 1 + 0j), (1, 1e200 + 0j), (2, 1e300 + 0j)), INF)
+    b = (((0, -1e10 + 0j), (1, 1e200 + 0j), (2, 1 + 0j)), 2)
+    with pytest.raises(ValueError, match="overflow in multiplication"):
+        lk.mul(a, b)
+    # the sum's inf magnitude was not above eps = inf, so it was dropped
+    big, big_t = lk.constant(1.5e308), (((0, 1.5e308 + 0j), (1, 1 + 0j)), INF)
+    with pytest.raises(ValueError, match="overflow in addition"):
+        lk.add(big, big_t)
+    with pytest.raises(ValueError, match="overflow in addition"):
+        core.constant(1.5e308) + (core.constant(1.5e308) + core.monomial(1))
+    # huge finite magnitudes whose sum overflows are not an overflow
+    huge = (((0, 1e308 + 0j), (1, 1e308 + 0j)), INF)
+    assert lk.mul(huge, lk.ONE) == huge
+
+
 def test_off_lattice_root_raises():
     # t^(1/2) on the lattice (1/2)Z: its root t^(1/4) has no lattice point
     lat = Lattice([], [])
@@ -241,6 +260,145 @@ def test_weakly_converged_at_tolerance():
     assert not solver.weakly_converged(x, x, core.zero(), core.constant(tol), 1, tol)
 
 
+# -- the numpy matrix action ----------------------------------------------------------
+
+huge = st.builds(lambda e, s: s * 10.0 ** e, st.floats(150, 308), st.sampled_from([-1.0, 1.0]))
+# comparable magnitudes: the order of a key's contributions shows in its sum
+units = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+
+
+@st.composite
+def lattice_numbers(draw, stride, coeffs=coefficients, empty=True):
+    """A number on int keys with the given stride, bounded at its last key,
+    one key or one stride above it, or not at all.  Few keys, many terms:
+    a key of a product then often gets three or more contributions, whose
+    order matters."""
+    keys = draw(st.lists(st.integers(-1, 4), min_size=0 if empty else 1,
+                         max_size=5, unique=True))
+    terms = tuple((stride * k, complex(draw(coeffs))) for k in sorted(keys))
+    top = terms[-1][0] if terms else stride * draw(st.integers(-1, 4))
+    return terms, draw(st.sampled_from([INF, top, top + 1, top + stride]))
+
+
+@st.composite
+def matrix_and_vector(draw, max_n=6):
+    """A matrix on one key stride in a dense, sparse or companion pattern,
+    and a vector on that stride or on stride 1."""
+    n = draw(st.integers(1, max_n))
+    stride = draw(st.sampled_from([1, 2, 3]))
+    coeffs = draw(st.sampled_from([coefficients, units, st.one_of(coefficients, huge)]))
+    pattern = draw(st.sampled_from(["dense", "sparse", "companion"]))
+
+    def entry(i, j):
+        if pattern == "companion" and j != n - 1:
+            return lk.ONE if i == j + 1 else lk.ZERO
+        return draw(lattice_numbers(stride, coeffs, empty=pattern == "sparse"))
+
+    M = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+    x_stride = draw(st.sampled_from([stride, stride, 1]))
+    x = [draw(lattice_numbers(x_stride, coeffs)) for _ in range(n)]
+    return M, tuple(x) if draw(st.booleans()) else lk.clamp(x)
+
+
+@SLOW
+@given(matrix_and_vector())
+def test_numpy_matvec(case):
+    M, x = case
+    action = lnp.MatrixAction(M)
+    same(lambda: lk.matvec(M, x), lambda: action(x))
+    same(lambda: lk.matvec(M, x[1:]), lambda: action(x[1:]))
+
+
+def _filled(n, entry):
+    return tuple(tuple(entry for _ in range(n)) for _ in range(n))
+
+
+def _uniform(entry, x_entry, n=6):
+    return _filled(n, entry), (x_entry,) * n
+
+
+ACTION_CASES = {
+    # every product is 1e308, the second row add overflows
+    "add-overflows": _uniform((((0, 1e300 + 0j),), INF), (((0, 1e8 + 0j),), INF)),
+    # a product with finite parts whose magnitude overflows: abs raises
+    "abs-overflows": _uniform((((0, 1.5e300 + 1.5e300j),), INF), (((0, 1e8 + 0j),), INF)),
+    # the overflowing key 6 lies above the product's bound 1: no error
+    "overflow-above-bound": _uniform((((0, 1 + 0j), (5, 1e300 + 0j)), INF),
+                                     (((0, 1 + 0j), (1, 1e300 + 0j)), 1)),
+    # (-1) * (-2) has the imaginary part -0.0, which mul's 0j + p clears
+    "signed-zeros": _uniform((((0, -1 + 0j),), INF), (((0, -2 + 0j),), INF)),
+    # t^1 * 1e20 sets the second add's cleanup but lies above the row's
+    # bound 0, so it must not set the third add's: t^-1 stays
+    "bound-filter-each-add": (((lk.ONE, (((1, 1e20 + 0j),), INF), lk.ONE),) * 3,
+                              ((((0, 1e7 + 0j),), 0), lk.ONE, (((-1, 1 + 0j),), INF))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACTION_CASES))
+def test_numpy_matvec_cases(case):
+    M, x = ACTION_CASES[case]
+    same(lambda: lk.matvec(M, x), lambda: lnp.MatrixAction(M)(x))
+
+
+def test_matrix_action_selection():
+    # a 4x4 (16 stored entries) stays on Python, a 5x5 (25) goes to numpy
+    assert isinstance(lnp.matrix_action(_filled(4, lk.ONE)), functools.partial)
+    assert isinstance(lnp.matrix_action(_filled(5, lk.ONE)), lnp.MatrixAction)
+
+
+@SLOW
+@given(matrix_and_vector(max_n=4), st.data())
+def test_matvec_bound(case, data):
+    """Changing every input above its bound does not change the product on
+    the bound it claims, on either kernel.  Both runs add the same
+    contributions to every key on that window in the same order; only
+    mul's and add's cleanup, relative to a largest magnitude that the keys
+    above the window take part in, may drop a term in one run and keep it
+    in the other, so the runs may differ by that cleanup's EPS_REL.  An
+    empty entry is an exact zero to ``mul`` (see
+    ``test_empty_factor_claims_exact_zero``) and stays unchanged."""
+    M, x = case
+
+    def change(a):
+        terms, bound = a
+        if not terms or bound == INF:
+            return a
+        extra = data.draw(st.lists(coefficients, min_size=1, max_size=3))
+        return terms + tuple((bound + k, c) for k, c in enumerate(extra, 1)), bound + len(extra)
+
+    M2 = tuple(tuple(change(a) for a in row) for row in M)
+    x2 = tuple(change(e) for e in x)
+    n = len(x)
+    # every coefficient any product or row sum can reach is at most S
+    l1 = lambda a: sum(abs(c) for _, c in a[0])  # noqa: E731
+    S = max(sum(l1(a) * l1(e) for a, e in zip(row, x2)) for row in M2)
+    tol = 4 * n * (lk.EPS_REL * S + lk.EPS_FLOOR)
+    for kernel in (lk.matvec, lambda A, v: lnp.MatrixAction(A)(v)):
+        try:
+            before = kernel(M, x)
+        except (ValueError, OverflowError):
+            continue
+        try:
+            after = kernel(M2, x2)
+        except (ValueError, OverflowError):  # the changed terms overflow
+            continue
+        bound = before[0][1]
+        assert after[0][1] >= bound
+        for (t1, _), (t2, _) in zip(before, after):
+            d1 = {k: c for k, c in t1}
+            d2 = {k: c for k, c in t2 if k <= bound}
+            for k in d1.keys() | d2.keys():
+                assert abs(d1.get(k, 0j) - d2.get(k, 0j)) <= tol
+
+
+def test_empty_factor_claims_exact_zero():
+    """``mul`` treats a factor without terms as an exact zero, whatever its
+    bound: ``O(t^2) * 1`` claims to be zero everywhere, though a term of
+    the first factor at t^3 would change it there."""
+    assert lk.mul(((), 2), lk.ONE) == lk.ZERO
+    assert lk.mul((((3, 1 + 0j),), 3), lk.ONE) == (((3, 1 + 0j),), 3)
+
+
 # -- whole solves ---------------------------------------------------------------------
 
 
@@ -253,6 +411,34 @@ def _random_2x2(seed, index):
             if found == index:
                 return A
             found += 1
+
+
+def _fractional_dense(n):
+    """A dense n x n matrix with terms at t^(1/2) and t^(2/3) in every entry
+    and a dominant constant part in its corner."""
+    rng = np.random.default_rng(5)
+    return LCMatrix([[core.from_terms([(0, 10.0 if i == j == 0 else rng.uniform(0, 1)),
+                                       (F(1, 2), rng.uniform(-1, 1)),
+                                       (F(2, 3), rng.uniform(-1, 1))])
+                      for j in range(n)] for i in range(n)])
+
+
+def _poly_from_roots(n):
+    """The monic polynomial with the root 3 + t + t^(3/2), which dominates,
+    and n - 1 roots whose constant parts have moduli in [0.5, 1.5]."""
+    rng = np.random.default_rng(3)
+    roots = [core.from_terms([(0, 3.0), (1, 1.0), (F(3, 2), 1.0)])]
+    for _ in range(n - 1):
+        c = rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        roots.append(core.from_terms([(0, complex(c)), (1, rng.uniform(-1, 1))]))
+    coeffs = [core.constant(1.0)]  # ascending powers
+    for r in roots:
+        nxt = [core.zero()] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - c * r
+        coeffs = nxt
+    return linalg.Polynomial(tuple(core.truncated(c, 3) for c in coeffs[:-1]))
 
 
 CASES = {
@@ -274,6 +460,11 @@ CASES = {
         SolverConfig(truncation=F(3), norm_kind="max", tol=1e-10)),
     "random-start": lambda: (parse_matrix("3 + t; 1; 0\n1; 1; t\n0; t^2; 0.5"),
                              SolverConfig(truncation=F(3), start="random:7")),
+    # above lnp.MIN_PAIRS: the loop runs on the numpy matrix action
+    "fractional-dense6-max": lambda: (_fractional_dense(6), SolverConfig(
+        truncation=F(2), norm_kind="max", tol=1e-10)),
+    "companion21": lambda: (linalg.companion_matrix(_poly_from_roots(21)),
+                            SolverConfig(truncation=F(3), tol=1e-10, max_iters=100)),
 }
 
 
