@@ -14,18 +14,21 @@ for the matrix action, the norms and the Rayleigh quotient, and
 imports the rest of the package apart from :mod:`lcpower.errors`.
 A value that would leave the lattice raises :class:`LatticeError`.
 
-The matrix action has two paths.  :func:`matvec` here serves matrices with
-fewer than :data:`lcpower._lattice_np.MIN_PAIRS` stored (nonempty)
-entries, :func:`lcpower.linalg.matvec` and the residual, and it is the
-reference of the other: :class:`lcpower._lattice_np.MatrixAction`, the
-same float operations on numpy arrays, which ``solve`` uses for larger
-matrices.
+The loop's batched operations have two kernels: :func:`matvec` and
+:data:`PYTHON` here, and :mod:`lcpower._lattice_np`, the same float
+operations on numpy arrays.  ``solve`` picks one of them per solve
+(:func:`lcpower._lattice_np.kernel`) and passes its :class:`VectorOps` to
+:func:`normalize`, :func:`rayleigh` and :func:`phase_aligned`, which keep
+the control flow, the checks and the single-series steps for both.  The
+Python kernel serves small matrices, :mod:`lcpower.linalg` and the
+residual, and it is the reference of the numpy one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import (DegenerateInputError, DomainError, LCError,
                      LostDominanceError, PrecisionError, WindowExceededError)
@@ -329,6 +332,25 @@ def _sum_abs_squares(v):
     return acc
 
 
+def rayleigh_numerator(u, au):
+    """u* au = sum conj(u_i) au_i."""
+    num = ZERO
+    for u_i, au_i in zip(u, au):
+        num = _add_product(num, conjugate(u_i), au_i)
+    return num
+
+
+class VectorOps(NamedTuple):
+    """The batched vector operations of the loop on one kernel."""
+
+    sum_abs_squares: Callable
+    rayleigh_numerator: Callable
+    scaled: Callable
+
+
+PYTHON = VectorOps(_sum_abs_squares, rayleigh_numerator, scaled)
+
+
 def norm_max(v):
     """Largest |v_i| under the series order: (value, index, tie).  The
     leading term decides (smaller valuation, then larger magnitude); the
@@ -355,37 +377,34 @@ def norm_max(v):
     return best, best_i, tie
 
 
-def normalize(y, norm_kind: str, truncation: int):
+def normalize(y, norm_kind: str, truncation: int, ops=PYTHON):
     """Normalize and re-truncate to the fixed window: (x, max-norm pivot tie)."""
     y = clamp([truncated(e, truncation) for e in y])
     tie = False
     if norm_kind == "max":
         nrm, _idx, tie = norm_max(y)
     else:
-        nrm = sqrt(_sum_abs_squares(y))
+        nrm = sqrt(ops.sum_abs_squares(y))
     if not nrm[0] or nrm[0][0][0] > 0:
         raise LostDominanceError(
             "normalization lost its constant part; the start vector has "
             "numerically no component along the dominant eigenvector")
-    return clamp([retruncate(e, truncation) for e in scaled(y, invert(nrm))]), tie
+    return clamp([retruncate(e, truncation) for e in ops.scaled(y, invert(nrm))]), tie
 
 
-def rayleigh(u, au):
+def rayleigh(u, au, ops=PYTHON):
     """(u* au) / ||u||_2^2 given the matrix action au."""
     if not any(e[0] for e in u):
         raise DegenerateInputError("Rayleigh quotient of the zero vector")
-    s = _sum_abs_squares(u)
+    s = ops.sum_abs_squares(u)
     if s[0] and s[0][0][0] < 0:
         raise DomainError("constant part of an infinitely large number")
     if coefficient(s, 0).real <= 0.0:
         raise DegenerateInputError("vector norm has vanishing constant part")
-    num = ZERO
-    for u_i, au_i in zip(u, au):
-        num = _add_product(num, conjugate(u_i), au_i)
-    return mul(num, invert(s))
+    return mul(ops.rayleigh_numerator(u, au), invert(s))
 
 
-def phase_aligned(v):
+def phase_aligned(v, ops=PYTHON):
     """Divide by the unit-modulus phase of the pivot's constant coefficient,
     making it real positive: (v, tie).  The pivot is the entry with the
     largest constant-coefficient modulus.  The weak limit is only defined up
@@ -397,7 +416,7 @@ def phase_aligned(v):
     if c0 == 0j:
         return v, tie
     phase = c0 / abs(c0)
-    return (v if phase == 1.0 + 0j else scaled(v, constant(phase.conjugate()))), tie
+    return (v if phase == 1.0 + 0j else ops.scaled(v, constant(phase.conjugate()))), tie
 
 
 def weakly_converged(a, b, rho_prev, rho_curr, r: int, tol: float, D: int) -> bool:

@@ -146,12 +146,13 @@ def _result_document(manifest: RunManifest, result: EigenResult) -> str:
 
 def _trace_csv(trace: IterationTrace, reference: Optional[LCNumber],
                every: int, max_columns: int) -> str:
-    cols, rows = trace.error_table(reference, max_columns)
-    last_step = rows[-1][0]
+    # only the sampled steps (the last one among them) are converted
+    last_step = trace.steps[-1].step
+    sampled = IterationTrace([s for s in trace.steps
+                              if s.step % every == 0 or s.step == last_step])
+    cols, rows = sampled.error_table(reference, max_columns)
     lines = ["step," + ",".join(f"t^{q}" for q in cols)]
-    for step, errs in rows:
-        if step % every == 0 or step == last_step:
-            lines.append(f"{step}," + ",".join(f"{e:.5e}" for e in errs))
+    lines.extend(f"{step}," + ",".join(f"{e:.5e}" for e in errs) for step, errs in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -10,13 +10,15 @@ matrix is recovered as rho * mu1 * t^(q0).
 
 The loop runs on an integer exponent lattice (1/D)Z fixed when ``solve``
 is entered: the normalized matrix and the start vector are converted once
-(:class:`lcpower.core.Lattice`), every step calls the kernels of
-:mod:`lcpower._lattice`, and each step's iterate, Rayleigh quotient and
-recovered eigenvalue are converted back for the trace.  The matrix action
-runs on numpy (:mod:`lcpower._lattice_np`) when the normalized matrix has
-at least ``_lattice_np.MIN_PAIRS`` stored entries, with the same result
-bits as the Python kernel.  A start vector that loses its dominant
-component gets one restart (see :func:`solve`).
+(:class:`lcpower.core.Lattice`) and every step calls the kernels of
+:mod:`lcpower._lattice`.  The trace keeps each step's iterate, Rayleigh
+quotient and recovered eigenvalue on that lattice and converts them on
+first access.  The matrix action, the sums of products behind the l2 norm
+and the Rayleigh quotient, and the scaling of a vector run on numpy
+(:mod:`lcpower._lattice_np`) when the normalized matrix has at least
+``_lattice_np.MIN_PAIRS`` stored entries, with the same result bits as the
+Python kernel.  A start vector that loses its dominant component gets one
+restart (see :func:`solve`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -103,6 +106,26 @@ class TraceStep:
     vector: LCVector
     rho: LCNumber       #: Rayleigh quotient of the normalized matrix
     estimate: LCNumber  #: recovered units: rho * mu1 * t^(q0)
+
+
+class _LatticeStep(TraceStep):
+    """A step as the loop records it: its values on the solve's lattice,
+    each converted to its :class:`TraceStep` field on first access."""
+
+    def __init__(self, step: int, lat: Lattice, xs, rho, nu):
+        vars(self).update(step=step, _lat=lat, _xs=xs, _rho=rho, _nu=nu)
+
+    @cached_property
+    def vector(self) -> LCVector:
+        return LCVector(self._lat.to_numbers(self._xs))
+
+    @cached_property
+    def rho(self) -> LCNumber:
+        return self._lat.to_number(self._rho)
+
+    @cached_property
+    def estimate(self) -> LCNumber:
+        return self._lat.to_number(self._nu)
 
 
 @dataclass
@@ -305,39 +328,38 @@ def _dominant_start(A: LCMatrix, q0: Fraction, cfg: SolverConfig) -> LCVector:
     return LCVector([core.constant(complex(c)) for c in v]).retruncated(cfg.truncation)
 
 
-def _iterate(lat: Lattice, action, xs, cfg: SolverConfig, mu1: complex, q0: Fraction):
+def _iterate(lat: Lattice, action, ops, xs, cfg: SolverConfig, mu1: complex, q0: Fraction):
     """The loop from ``xs`` on the solve's lattice, ``action`` being the
-    normalized matrix's action.  Returns (trace, steps, converged,
-    phase-aligned last iterate, pivot tie seen)."""
+    normalized matrix's action and ``ops`` the vector operations of its
+    kernel.  Returns (trace, steps, converged, phase-aligned last iterate,
+    pivot tie seen)."""
     trunc, window, q0_key = lat.key(cfg.truncation), lat.key(cfg.window), lat.key(q0)
     mu = _lattice.constant(mu1)
 
     def record(k, xs, rho):
         # nu1 = rho * mu1 * t^(q0), composed exactly in this order.
         # A = t^(q0) * A_shifted, so the eigenvalue scales by t^(+q0).
-        nu = _lattice.shift(_lattice.mul(rho, mu), q0_key)
-        return TraceStep(k, LCVector(lat.to_numbers(xs)), lat.to_number(rho),
-                         lat.to_number(nu))
+        return _LatticeStep(k, lat, xs, rho, _lattice.shift(_lattice.mul(rho, mu), q0_key))
 
     # a pivot tie in the user-chosen start (e.g. all-ones) is not the
     # degeneracy the warning flag tracks, so it is not collected here
-    xs, _start_tie = _lattice.normalize(xs, cfg.norm_kind, trunc)
+    xs, _start_tie = _lattice.normalize(xs, cfg.norm_kind, trunc, ops)
     # one matrix action per step, shared between the Rayleigh quotient of
     # the current iterate and the next normalization
     ax = action(xs)
-    rho = _lattice.retruncate(_lattice.rayleigh(xs, ax), trunc)
-    aligned, aligned_tie = _lattice.phase_aligned(xs)
+    rho = _lattice.retruncate(_lattice.rayleigh(xs, ax, ops), trunc)
+    aligned, aligned_tie = _lattice.phase_aligned(xs, ops)
     trace = IterationTrace([record(0, xs, rho)])
 
     tie_any = converged = False
     k = 0
     for k in range(1, cfg.max_iters + 1):
-        xs, tie = _lattice.normalize(ax, cfg.norm_kind, trunc)
+        xs, tie = _lattice.normalize(ax, cfg.norm_kind, trunc, ops)
         tie_any |= tie
         ax = action(xs)
-        rho_new = _lattice.retruncate(_lattice.rayleigh(xs, ax), trunc)
+        rho_new = _lattice.retruncate(_lattice.rayleigh(xs, ax, ops), trunc)
         trace.steps.append(record(k, xs, rho_new))
-        aligned_new, aligned_tie = _lattice.phase_aligned(xs)
+        aligned_new, aligned_tie = _lattice.phase_aligned(xs, ops)
         converged = _lattice.weakly_converged(aligned, aligned_new, rho, rho_new,
                                               window, cfg.tol, lat.D)
         aligned, rho = aligned_new, rho_new
@@ -380,15 +402,15 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     a_norm, q0, mu1 = precondition(A, cfg)
     lat, M, xs = _on_lattice(a_norm, _start_vector(cfg, A.n),
                              cfg.truncation, cfg.window, q0)
-    action = _lattice_np.matrix_action(M)
+    action, ops = _lattice_np.kernel(M)
     try:
-        trace, k, converged, x, tie = _iterate(lat, action, xs, cfg, mu1, q0)
+        trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
     except (LostDominanceError, DegenerateInputError):
         # roundoff wiped out the start's dominant component (a start close
         # to another eigenvector); the restart's constant entries lie on
         # the lattice
         xs = lat.vector(_dominant_start(A, q0, cfg))
-        trace, k, converged, x, tie = _iterate(lat, action, xs, cfg, mu1, q0)
+        trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
     nu1 = trace.steps[-1].estimate
     residual, rwin = _residual(A, x, nu1, cfg.window)
     result = EigenResult(

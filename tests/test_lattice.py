@@ -13,6 +13,7 @@ solve-level test then checks that ``solve`` reproduces the reference loop
 byte for byte.
 """
 
+import cmath
 import functools
 from fractions import Fraction as F
 
@@ -341,9 +342,26 @@ def test_numpy_matvec_cases(case):
 
 
 def test_matrix_action_selection():
-    # a 4x4 (16 stored entries) stays on Python, a 5x5 (25) goes to numpy
-    assert isinstance(lnp.matrix_action(_filled(4, lk.ONE)), functools.partial)
-    assert isinstance(lnp.matrix_action(_filled(5, lk.ONE)), lnp.MatrixAction)
+    # a 4x4 (16 stored entries) stays on Python, a 5x5 (25) goes to numpy,
+    # the matrix action and the vector operations together
+    action, ops = lnp.kernel(_filled(4, lk.ONE))
+    assert isinstance(action, functools.partial) and ops is lk.PYTHON
+    action, ops = lnp.kernel(_filled(5, lk.ONE))
+    assert isinstance(action, lnp.MatrixAction) and ops is lnp.NUMPY
+
+
+def _changed(data, a, coeffs=coefficients):
+    """``a`` with 1-3 terms added above its finite bound, and the bound
+    raised as far; empty and exact numbers stay unchanged."""
+    terms, bound = a
+    if not terms or bound == INF:
+        return a
+    extra = data.draw(st.lists(coeffs, min_size=1, max_size=3))
+    return terms + tuple((bound + k, c) for k, c in enumerate(extra, 1)), bound + len(extra)
+
+
+def _l1(a):
+    return sum(abs(c) for _, c in a[0])
 
 
 @SLOW
@@ -358,20 +376,11 @@ def test_matvec_bound(case, data):
     empty entry is an exact zero to ``mul`` (see
     ``test_empty_factor_claims_exact_zero``) and stays unchanged."""
     M, x = case
-
-    def change(a):
-        terms, bound = a
-        if not terms or bound == INF:
-            return a
-        extra = data.draw(st.lists(coefficients, min_size=1, max_size=3))
-        return terms + tuple((bound + k, c) for k, c in enumerate(extra, 1)), bound + len(extra)
-
-    M2 = tuple(tuple(change(a) for a in row) for row in M)
-    x2 = tuple(change(e) for e in x)
+    M2 = tuple(tuple(_changed(data, a) for a in row) for row in M)
+    x2 = tuple(_changed(data, e) for e in x)
     n = len(x)
     # every coefficient any product or row sum can reach is at most S
-    l1 = lambda a: sum(abs(c) for _, c in a[0])  # noqa: E731
-    S = max(sum(l1(a) * l1(e) for a, e in zip(row, x2)) for row in M2)
+    S = max(sum(_l1(a) * _l1(e) for a, e in zip(row, x2)) for row in M2)
     tol = 4 * n * (lk.EPS_REL * S + lk.EPS_FLOOR)
     for kernel in (lk.matvec, lambda A, v: lnp.MatrixAction(A)(v)):
         try:
@@ -397,6 +406,198 @@ def test_empty_factor_claims_exact_zero():
     the first factor at t^3 would change it there."""
     assert lk.mul(((), 2), lk.ONE) == lk.ZERO
     assert lk.mul((((3, 1 + 0j),), 3), lk.ONE) == (((3, 1 + 0j),), 3)
+
+
+# -- the numpy vector operations -------------------------------------------------------
+
+# magnitudes over 35 orders: the chain's cleanup drops keys at many adds
+wide = st.builds(lambda e, s: s * 10.0 ** e, st.floats(-25, 10), st.sampled_from([-1.0, 1.0]))
+vector_coefficients = st.sampled_from([
+    coefficients, units, st.one_of(wide, st.builds(complex, wide, wide)),
+    st.one_of(coefficients, huge)])
+
+
+@st.composite
+def vector_numbers(draw, stride, coeffs):
+    """``lattice_numbers``, half of them with a real leading term: their
+    imaginary part has a higher valuation, so its bound differs."""
+    terms, bound = draw(lattice_numbers(stride, coeffs))
+    if terms and terms[0][1].real != 0.0 and draw(st.booleans()):
+        terms = ((terms[0][0], complex(terms[0][1].real, 0.0)),) + terms[1:]
+    return terms, bound
+
+
+@st.composite
+def vector_op_inputs(draw):
+    """``(u, au, s)``: vectors of n = 1-8 entries on a key stride of 1, 2 or
+    3 (``au`` on that stride or on 1) and a series ``s`` to scale by."""
+    n = draw(st.integers(1, 8))
+    stride = draw(st.sampled_from([1, 2, 3]))
+    coeffs = draw(vector_coefficients)
+    u = [draw(vector_numbers(stride, coeffs)) for _ in range(n)]
+    au_stride = draw(st.sampled_from([stride, 1]))
+    au = tuple(draw(vector_numbers(au_stride, coeffs)) for _ in range(n))
+    s_stride = draw(st.sampled_from([stride, 1]))
+    s = draw(lattice_numbers(s_stride, coeffs, empty=False))
+    return (tuple(u) if draw(st.booleans()) else lk.clamp(u)), au, s
+
+
+@FAST
+@given(vector_op_inputs())
+def test_numpy_vector_ops(case):
+    u, au, s = case
+    same(lambda: lk._sum_abs_squares(u), lambda: lnp.sum_abs_squares(u))
+    same(lambda: lk.rayleigh_numerator(u, au), lambda: lnp.rayleigh_numerator(u, au))
+    same(lambda: lk.scaled(u, s), lambda: lnp.scaled(u, s))
+
+
+def _number(*terms, bound=INF):
+    return tuple((k, complex(c)) for k, c in terms), bound
+
+
+VECTOR_CASES = {
+    # key 4 (1e20) lies above the second add's bound 1 but sets its cleanup,
+    # which then drops key 0
+    "chain-max-above-bound": ((_number((0, 1e-5), (2, 1e10)), _number((0, 1e-3), bound=1)),
+                              None, None),
+    # an empty entry, and an empty imaginary part, are skipped with their bounds
+    "empty-part-bound": ((_number(bound=0), _number((1, 2.0), bound=1),
+                          _number((0, 1.0), (1, 1j), bound=3)),
+                         (_number(bound=0), _number((0, 1.0)), _number((0, 1.0))),
+                         _number((0, 1.0), (1, 2.0), bound=2)),
+    # conj(-1) is -1 - 0j: (-1)*0.0 + (-0.0)*2 is -0.0, which 0j + p clears;
+    # likewise (-1)*0.0 + 0.0*(-2) in the scaling
+    "signed-zeros": ((_number((0, -1.0), (1, -1.0)),), (_number((0, 2.0), (1, 1.0)),),
+                     _number((0, -2.0), (1, -1.0), bound=3)),
+    # 1e160^2 overflows in mul; 1e154^2 + 1e154^2 overflows in add
+    "mul-overflows": ((_number((0, 1e160), (1, 1.0), bound=2),),
+                      (_number((0, 1e160), (1, 1.0)),), _number((0, 1e160), (1, 1e160))),
+    "add-overflows": ((_number((0, 1.3e154), (1, 1.0), bound=2),) * 2,
+                      (_number((0, 1.3e154), (1, 1.0)),) * 2, None),
+    # a magnitude whose finite parts overflow: abs raises
+    "abs-overflows": ((_number((0, 1.3e154 + 1.3e154j), (1, 1.0), bound=2),),
+                      (_number((0, 1e154)),), _number((0, 1e154), (1, 1.0))),
+    # the overflowing key lies above every product's bound: no error
+    "overflow-above-bound": ((_number((0, 1.0), (2, 1e300), bound=1),),
+                             (_number((0, 1.0), (2, 1e300), bound=1),),
+                             _number((0, 1.0), (2, 1e300), bound=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VECTOR_CASES))
+def test_numpy_vector_ops_cases(case):
+    u, au, s = VECTOR_CASES[case]
+    same(lambda: lk._sum_abs_squares(u), lambda: lnp.sum_abs_squares(u))
+    if au is not None:
+        same(lambda: lk.rayleigh_numerator(u, au), lambda: lnp.rayleigh_numerator(u, au))
+    if s is not None:
+        same(lambda: lk.scaled(u, s), lambda: lnp.scaled(u, s))
+
+
+# small terms next to a constant term of modulus 1-1.5: |v|^2 keeps its
+# constant part dominant, so its root and inverse stay well conditioned
+small = st.builds(cmath.rect, st.floats(1e-3, 1e-2), st.floats(-3.2, 3.2))
+
+
+@st.composite
+def dominated_numbers(draw, stride, bounds=(INF, 0, 1, "stride")):
+    terms = ((0, cmath.rect(draw(st.floats(1, 1.5)), draw(st.floats(-3.2, 3.2)))),)
+    keys = draw(st.lists(st.integers(1, 4), max_size=4, unique=True))
+    terms += tuple((stride * k, draw(small)) for k in sorted(keys))
+    above = draw(st.sampled_from(bounds))
+    return terms, above if above == INF else terms[-1][0] + (stride if above == "stride" else above)
+
+
+def _window_diff(before, after, tol):
+    """``before`` and ``after`` agree within ``tol`` on the bound ``before``
+    claims, which ``after`` claims too."""
+    bound = before[1]
+    assert after[1] >= bound
+    d1 = {k: c for k, c in before[0]}
+    d2 = {k: c for k, c in after[0] if k <= bound}
+    for k in d1.keys() | d2.keys():
+        assert abs(d1.get(k, 0j) - d2.get(k, 0j)) <= tol
+
+
+def _cleanup_tolerance(m, W, S):
+    """``test_matvec_bound``'s tolerance for a computation of ``m`` cleaning
+    operations over ``W`` keys in which one term dropped from any
+    intermediate, at most ``EPS_REL`` of that intermediate's largest
+    magnitude, changes a result coefficient by at most ``EPS_REL S``."""
+    return 4 * m * W * (lk.EPS_REL * S + lk.EPS_FLOOR * max(1.0, S))
+
+
+KERNELS = {"python": lk.PYTHON, "numpy": lnp.NUMPY}
+
+
+@SLOW
+@given(st.sampled_from(sorted(KERNELS)), st.integers(1, 4).flatmap(
+    lambda n: st.sampled_from([1, 2, 3]).flatmap(lambda stride: st.tuples(
+        st.lists(dominated_numbers(stride), min_size=n, max_size=n),
+        st.lists(lattice_numbers(stride, units), min_size=n, max_size=n)))),
+    st.data())
+def test_rayleigh_bound(kernel, case, data):
+    """Changing u and au above their bounds does not change the Rayleigh
+    quotient on the bound it claims, on either kernel, up to the cleanup
+    (see ``test_matvec_bound``).  To first order a term dropped from
+    sum |u_i|^2 (coefficients at most S_s) or from u* au (at most S_n)
+    moves the result by its size times A or S_n A^2, A bounding the
+    inverse's l1 norm by the geometric majorant 1 / (c (1 - e)) of
+    ``_series``; a term dropped inside the inverse series moves it by at
+    most its size times S_n A^2 c.  A numerator without terms makes the
+    quotient an exact zero whatever its bound (see
+    ``test_empty_factor_claims_exact_zero``), so such draws are left out."""
+    ops = KERNELS[kernel]
+    u, au = map(lk.clamp, case)
+    if not lk.rayleigh_numerator(u, au)[0]:
+        return
+    u2 = tuple(_changed(data, e, small) for e in u)
+    au2 = tuple(_changed(data, e, units) for e in au)
+    try:
+        before = lk.rayleigh(u, au, ops)
+    except lk.LCError:  # e.g. the inverse of an unbounded series
+        return
+    after = lk.rayleigh(u2, au2, ops)
+    n = len(u)
+    S_s = sum(_l1(e) ** 2 for e in u2)
+    S_n = sum(_l1(a) * _l1(b) for a, b in zip(u2, au2))
+    c = sum(abs(e[0][0][1]) ** 2 for e in u2)
+    A = 1 / (c * (1 - (S_s - c) / c))
+    keys = [k for k, _ in before[0] + after[0]] or [0]
+    W = max(1, before[1] - min(keys) + 1) if before[1] != INF else len(set(keys))
+    S = S_n * A * (1 + W * S_s * A)
+    _window_diff(before, after, _cleanup_tolerance(6 * n + 2 * W + 1, W, S))
+
+
+@SLOW
+@given(st.sampled_from(sorted(KERNELS)), st.integers(1, 4).flatmap(
+    lambda n: st.sampled_from([1, 2, 3]).flatmap(lambda stride: st.lists(
+        dominated_numbers(stride, bounds=(0, 1, "stride")), min_size=n, max_size=n))),
+    st.data())
+def test_normalize_bound(kernel, y, data):
+    """The l2 normalization of y, truncated at its bound T, and of y
+    changed above T, truncated at T + 3, agree on T on either kernel, up to
+    the cleanup (see ``test_rayleigh_bound``): the root of sum |y_i|^2 has
+    the l1 majorant B = sqrt(c) / (1 - e) and the inverse of the root
+    A = 1 / (sqrt(c) (1 - e / (1 - e)))."""
+    ops = KERNELS[kernel]
+    y = lk.clamp(y)
+    trunc = y[0][1]
+    y2 = tuple(_changed(data, e, small) for e in y)
+    before = lk.normalize(y, "l2", trunc, ops)[0]
+    after = lk.normalize(y2, "l2", trunc + 3, ops)[0]
+    n = len(y)
+    S_s = sum(_l1(e) ** 2 for e in y2)
+    c = sum(abs(e[0][0][1]) ** 2 for e in y2)
+    e = (S_s - c) / c
+    root_c = c ** 0.5
+    B = root_c / (1 - e)
+    A = 1 / (root_c * (1 - e / (1 - e)))
+    W = trunc + 1
+    S = max(map(_l1, y2)) * A * (1 + W * A * (S_s / (root_c * (1 - e)) + B + root_c))
+    tol = _cleanup_tolerance(5 * n + 4 * W + 2, W, S)
+    for b, a in zip(before, after):
+        _window_diff(b, a, tol)
 
 
 # -- whole solves ---------------------------------------------------------------------
@@ -476,10 +677,23 @@ def _summary(result, trace):
             [(s.step, repr(s.rho), repr(s.vector)) for s in trace.steps])
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_summary(case):
+    return _summary(*reference_loop.solve(*CASES[case]()))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_solve_matches_reference_loop(case):
     A, cfg = CASES[case]()
-    expected = _summary(*reference_loop.solve(A, cfg))
+    expected = _reference_summary(case)
     got = _summary(*solve(A, cfg))
     assert got == expected
     assert got[5], "the case should converge"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_solve_matches_reference_loop_on_numpy(case, monkeypatch):
+    """Every case, the 2x2s included, with the whole loop on numpy."""
+    monkeypatch.setattr(lnp, "MIN_PAIRS", 1)
+    A, cfg = CASES[case]()
+    assert _summary(*solve(A, cfg)) == _reference_summary(case)
