@@ -299,6 +299,14 @@ def clamp(entries):
     return tuple(truncated(e, bound) for e in entries)
 
 
+def truncated_vector(v, bound):
+    return clamp([truncated(e, bound) for e in v])
+
+
+def retruncated_vector(v, bound):
+    return clamp([retruncate(e, bound) for e in v])
+
+
 def scaled(v, s):
     return clamp([mul(e, s) for e in v])
 
@@ -343,12 +351,15 @@ def rayleigh_numerator(u, au):
 class VectorOps(NamedTuple):
     """The batched vector operations of the loop on one kernel."""
 
+    truncated: Callable
+    retruncated: Callable
     sum_abs_squares: Callable
     rayleigh_numerator: Callable
     scaled: Callable
 
 
-PYTHON = VectorOps(_sum_abs_squares, rayleigh_numerator, scaled)
+PYTHON = VectorOps(truncated_vector, retruncated_vector, _sum_abs_squares,
+                   rayleigh_numerator, scaled)
 
 
 def norm_max(v):
@@ -379,7 +390,7 @@ def norm_max(v):
 
 def normalize(y, norm_kind: str, truncation: int, ops=PYTHON):
     """Normalize and re-truncate to the fixed window: (x, max-norm pivot tie)."""
-    y = clamp([truncated(e, truncation) for e in y])
+    y = ops.truncated(y, truncation)
     tie = False
     if norm_kind == "max":
         nrm, _idx, tie = norm_max(y)
@@ -389,7 +400,7 @@ def normalize(y, norm_kind: str, truncation: int, ops=PYTHON):
         raise LostDominanceError(
             "normalization lost its constant part; the start vector has "
             "numerically no component along the dominant eigenvector")
-    return clamp([retruncate(e, truncation) for e in ops.scaled(y, invert(nrm))]), tie
+    return ops.retruncated(ops.scaled(y, invert(nrm)), truncation), tie
 
 
 def rayleigh(u, au, ops=PYTHON):

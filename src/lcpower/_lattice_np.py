@@ -2,17 +2,29 @@
 
 :class:`MatrixAction` holds one matrix of :mod:`lcpower._lattice` and
 returns exactly what :func:`lcpower._lattice.matvec` returns for it, and
-:data:`NUMPY` holds :func:`sum_abs_squares`, :func:`rayleigh_numerator` and
-:func:`scaled`, which return exactly what their twins in
-:mod:`lcpower._lattice` return: the same keys, the same float bits (signed
-zeros included), the same bounds and the same exceptions.  They keep every
-float operation of the Python kernel and change only the layout:
+:data:`NUMPY` holds :func:`truncated`, :func:`retruncated`,
+:func:`sum_abs_squares`, :func:`rayleigh_numerator` and :func:`scaled`,
+which return exactly what their twins in :mod:`lcpower._lattice` return:
+the same keys, the same float bits (signed zeros included), the same
+bounds and the same exceptions.  They keep every float operation of the
+Python kernel and change only the layout:
 
-* a series is a row of float64 arrays over its keys, compressed by the
-  common stride ``g`` of the keys of a call; complex series are split into
-  real and imaginary arrays.  The matrix's layout is fixed per solve, the
-  vectors' per call, and keys above the largest product bound are not
-  computed;
+* a vector is a :class:`Vector`: split real and imaginary float64 arrays
+  over its keys, compressed by a key stride ``g``.  The operations that
+  return a vector (the matrix action, the truncations and the scaling)
+  return a :class:`Vector` built from the arrays they computed, and take
+  one without converting it.  A vector is laid out from its tuples only
+  when it arrives as tuples, and its tuples are built only when Python
+  code reads them.  In one step of the loop the matrix action's result
+  ``ax`` is truncated to ``y`` by cutting its arrays, ``y`` feeds the l2
+  norm and the scaling, whose result is the next iterate ``xs``, and
+  ``xs`` feeds the matrix action and the Rayleigh quotient: no vector is
+  laid out, and only ``xs`` and its phase-aligned copy are converted to
+  tuples, for the phase alignment, the stopping check and the trace.  The matrix's layout is
+  fixed per solve, and keys above the largest product bound are not
+  computed.  A stride finer than the keys need only adds zero slots, whose
+  products add ``+0.0`` to a sum that is never ``-0.0``, so vectors of
+  different strides meet on the gcd of their strides;
 * a batch of products (one per stored entry ``a_ij x_j``, per part of
   ``|v_i|^2``, per ``conj(u_i) au_i`` or per entry of ``v s``) is
   accumulated over the first factors' key slots in ascending order, the
@@ -23,24 +35,32 @@ float operation of the Python kernel and change only the layout:
   ``+0.0``, which is ``mul``'s ``0j + p``; they never become ``-0.0``, so a
   zero-padded slot adds nothing.  Keys above each product's bound are
   masked before ``mul``'s cleanup;
-* the sums are ``add``'s chain in Python's order, one pass per ``add``:
-  the merge, the running minimum of the bounds, the cleanup relative to
-  the largest magnitude of all merged keys, and the bound filter.  No term
-  of a product or a sum carries a ``-0.0`` part, so an absent term is held
-  as ``+0.0`` and adding it leaves the other term unchanged.  The matrix
-  action's row sums run one pass per t-th stored entry of every row,
-  vectorized over the rows.
+* the sums are ``add``'s chain in Python's order: the merge, the running
+  minimum of the bounds, the cleanup relative to the largest magnitude of
+  all merged keys, and the bound filter.  No term of a product or a sum
+  carries a ``-0.0`` part, so an absent term is held as ``+0.0`` and
+  adding it leaves the other term unchanged.  One ``np.add.accumulate``
+  from ``+0.0`` (``ZERO``) over the products makes the chain's float
+  additions one by one in its order: an accumulate, unlike a reduction,
+  never regroups.  Until an ``add`` clears a nonzero term, by the cleanup
+  or the bound filter, the chain only adds, so the running sums are its
+  sums exactly, and so are the maxes and bounds taken from them; from the
+  first such ``add`` on the adds run one at a time (:func:`_chain`).  On
+  the loop's inputs most chains clear nothing; the rest clear at almost
+  every ``add`` after the first, when the sum's higher keys have cancelled
+  to roundoff.  The matrix action's row sums run one pass per t-th stored
+  entry of every row, vectorized over the rows.
 
 An empty factor makes a product an exact zero, which ``_add_product``
-skips together with its bound; the vector operations skip it too, and the
+skips together with its bound; the sums of products skip it too, the
+scaling gives it an infinite bound, which the clamp ignores, and the
 matrix action gives it an infinite bound, so that adding it repeats the
 cleanup idempotently.  The parts of ``|v_i|^2`` are real series, whose
 products keep an imaginary part of exactly ``+0.0``, so
 :func:`sum_abs_squares` runs on real arrays and ``np.abs``.  Inputs that
 do not fit a layout (no terms, a matrix action's ``x`` off the matrix's
-stride), scaling by a monomial, and arithmetic that meets a non-finite
-value are handed to the Python kernel, which then gives the result or
-raises.
+stride) and arithmetic that meets a non-finite value are handed to the
+Python kernel, which then gives the result or raises.
 
 :func:`kernel` chooses between the two kernels, once per solve, by the
 number of stored entries of the matrix: numpy's fixed cost per call
@@ -50,7 +70,7 @@ outweighs the Python loops on small matrices.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 
 import numpy as np
@@ -70,6 +90,96 @@ def kernel(M):
     if sum(1 for row in M for a in row if a[0]) >= MIN_PAIRS:
         return MatrixAction(M), NUMPY
     return partial(_lattice.matvec, M), _lattice.PYTHON
+
+
+class Vector:
+    """A vector of :mod:`lcpower._lattice` numbers as the split arrays
+    ``parts[slot, part, entry]`` (part 0 real, 1 imaginary) over the keys
+    ``base + g*slot``, from its smallest key to its largest, and the
+    entries' bounds.  An absent term is ``+0.0`` in both parts.  It reads
+    as the sequence of ``(terms, bound)`` numbers, built on first access."""
+
+    def __init__(self, parts, base: int, g: int, bounds):
+        present = (parts != 0.0).any(axis=1)
+        slots = np.flatnonzero(present.any(axis=1))
+        lo, hi = (int(slots[0]), int(slots[-1]) + 1) if len(slots) else (0, 0)
+        self.parts, self.present = parts[lo:hi], present[lo:hi]
+        self.base, self.g, self.bounds = base + g * lo, g, bounds
+
+    def __len__(self):
+        return len(self.bounds)
+
+    def __iter__(self):
+        return iter(self.numbers)
+
+    def __getitem__(self, i):
+        return self.numbers[i]
+
+    @cached_property
+    def numbers(self):
+        parts = self.parts
+        keys = self.base + self.g * np.arange(len(parts))
+        terms = _rows(keys, parts[:, 0].T, parts[:, 1].T, self.present.T)
+        return tuple(zip(terms, map(_bound, self.bounds.tolist())))
+
+    @cached_property
+    def valuations(self):
+        """``(nonempty, key)``: which entries have terms, and the key of each
+        one's first term as a float."""
+        if not len(self.present):
+            return np.zeros(len(self), bool), np.zeros(len(self))
+        first = self.present.argmax(axis=0)
+        return self.present.any(axis=0), (self.base + self.g * first).astype(float)
+
+
+def _layout(v) -> Vector:
+    """The vector ``v`` of ``(terms, bound)`` numbers as a :class:`Vector`
+    on the gcd of its key offsets."""
+    counts = [len(terms) for terms, _ in v]
+    bounds = np.array([float(b) for _, b in v])
+    if not any(counts):
+        return Vector(np.zeros((0, 2, len(v))), 0, 1, bounds)
+    keys, coeffs = zip(*chain.from_iterable(terms for terms, _ in v))
+    keys = np.fromiter(keys, np.int64, len(keys))
+    base = int(keys.min())
+    offsets = keys - base
+    g = int(np.gcd.reduce(offsets)) or 1
+    slots = offsets // g
+    # complex128 only carries the coefficients into the split arrays
+    coeffs = np.fromiter(coeffs, complex, len(coeffs))
+    parts = np.zeros((int(slots.max()) + 1, 2, len(v)))
+    cols = np.repeat(np.arange(len(v)), counts)
+    parts[slots, 0, cols] = coeffs.real
+    parts[slots, 1, cols] = coeffs.imag
+    return Vector(parts, base, g, bounds)
+
+
+def _laid(v) -> Vector:
+    return v if isinstance(v, Vector) else _layout(v)
+
+
+def _stride(*vectors) -> int:
+    """The stride on which the ``vectors`` meet: the gcd of their strides
+    (a vector of one slot has no stride)."""
+    return math.gcd(*(x.g for x in vectors if len(x.parts) > 1)) or 1
+
+
+def _strided(x: Vector, g: int):
+    """``x.parts`` on the key stride ``g``, a divisor of ``x.g``."""
+    r = x.g // g
+    if r == 1 or len(x.parts) < 2:
+        return x.parts
+    out = np.zeros(((len(x.parts) - 1) * r + 1,) + x.parts.shape[1:])
+    out[::r] = x.parts
+    return out
+
+
+def _cut(parts, base: int, g: int, bound, n: int) -> Vector:
+    """The vector of the arrays ``parts`` from key ``base`` without the keys
+    above ``bound``, every entry bounded there (a clamped vector)."""
+    if bound != INF:
+        parts = parts[:max(0, (int(bound) - base) // g + 1)]
+    return Vector(parts, base, g, np.full(n, float(bound)))
 
 
 class MatrixAction:
@@ -109,40 +219,29 @@ class MatrixAction:
         n, g = self._n, self._g
         if len(x) != n:
             raise DegenerateInputError(f"dimension mismatch: {n}x{n} vs {len(x)}")
-        terms = [t for e in x for t in e[0]]
-        if not terms or not self._passes:
+        if not self._passes:
             return _lattice.matvec(self._M, x)
-        offsets = np.array([k for k, _ in terms])
-        x_base = int(offsets.min())
-        offsets -= x_base
-        if g > 1 and (offsets % g).any():
+        x = _laid(x)
+        nonempty, x_val = x.valuations
+        if not nonempty.any() or (len(x.parts) > 1 and x.g % g):
             return _lattice.matvec(self._M, x)
-        offsets //= g
-        counts = np.array([len(e[0]) for e in x])
-        x_width = int(offsets.max()) + 1
-        # complex128 only carries the coefficients into the split arrays
-        coeffs = np.array([c for _, c in terms], dtype=complex)
-        x_parts = np.zeros((2, x_width, n))
-        x_parts[:, offsets, np.repeat(np.arange(n), counts)] = coeffs.real, coeffs.imag
-        x_val = np.array([float(e[0][0][0]) if e[0] else 0.0 for e in x])
-        x_bound = np.array([float(e[1]) for e in x])
+        x_parts = _strided(x, g)
+        x_width = len(x_parts)
 
         cols = self._cols
         # mul's bound min(T_a + val(x_j), T_x + val(a)); an empty x_j makes
         # the product an exact zero
-        bounds = np.minimum(self._a_bound + x_val[cols], x_bound[cols] + self._a_val)
-        bounds[(counts == 0)[cols]] = INF
-        first = self._base + x_base
+        bounds = np.minimum(self._a_bound + x_val[cols], x.bounds[cols] + self._a_val)
+        bounds[~nonempty[cols]] = INF
+        first = self._base + x.base
         # no product keeps a term above the largest bound
-        width = self._width + x_width - 1
-        top = bounds.max()
-        if top < INF:
-            width = max(1, min(width, (int(top) - first) // g + 1))
+        width = _width(self._width + x_width - 1, bounds, first, g)
         keys = first + g * np.arange(width)
         # a row sum drops keys above its bound only if some bound is that low
         clip = bounds.min() < keys[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            xr, xi = x_parts[:, :, cols]
+            # part-major (part, slot, column): the slices below are contiguous
+            xr, xi = x_parts[:, 0][:, cols], x_parts[:, 1][:, cols]
             p = np.zeros((2, width, len(cols)))
             for s, ar, ai in self._slots:
                 if s >= width:
@@ -169,44 +268,14 @@ class MatrixAction:
             # a NaN or an overflow: mul or add raises, or abs does
             if not np.isfinite(np.concatenate(maxes)).all():
                 return _lattice.matvec(self._M, x)
-
-        # clamp, and back to (k, complex) terms
-        bound = acc_bound.min()
-        re, im = acc[0].T, acc[1].T
-        present = ((re != 0.0) | (im != 0.0)) & (keys <= bound)
-        bound = _bound(bound)
-        return tuple((terms, bound) for terms in _rows(keys, re, im, present))
+        # clamp
+        return _cut(acc.transpose(1, 0, 2), first, g, acc_bound.min(), n)
 
 
 # -- the vector operations ------------------------------------------------------------
 #
-# Arrays are key-major: ``(slot, part, column)``, the parts being (re, im)
-# or, for real series, (re,) alone.
-
-
-def _layout(*groups):
-    """Each group of numbers as split arrays of shape ``(width, 2,
-    len(group))`` over the keys ``base + g*slot``, ``base`` being the
-    group's smallest key and ``g`` the common stride of all groups:
-    ``(arrays, bases, g)``."""
-    columns = []
-    for group in groups:
-        keys, coeffs = zip(*chain.from_iterable(terms for terms, _ in group))
-        keys = np.fromiter(keys, np.int64, len(keys))
-        base = int(keys.min())
-        # complex128 only carries the coefficients into the split arrays
-        columns.append((keys - base, base, np.fromiter(coeffs, complex, len(coeffs)),
-                        [len(terms) for terms, _ in group]))
-    g = int(np.gcd.reduce(np.concatenate([c[0] for c in columns]))) or 1
-    arrays = []
-    for offsets, _, coeffs, counts in columns:
-        slots = offsets // g
-        out = np.zeros((int(slots.max()) + 1, 2, len(counts)))
-        cols = np.repeat(np.arange(len(counts)), counts)
-        out[slots, 0, cols] = coeffs.real
-        out[slots, 1, cols] = coeffs.imag
-        arrays.append(out)
-    return arrays, [c[1] for c in columns], g
+# Product and sum arrays are key-major: ``(slot, part, column)``, the parts
+# being (re, im) or, for real series, (re,) alone.
 
 
 def _width(width: int, bounds, first: int, g: int) -> int:
@@ -224,10 +293,17 @@ def _abs(parts):
 def _accumulated(pairs, width: int):
     """``mul``'s sums per key of the products ``pairs[i, j]`` of the slot
     pairs (key slot ``i + j``), over the first factor's slots ``i`` in
-    ascending order, into ``+0.0`` accumulators."""
+    ascending order, into ``+0.0`` accumulators.  A pass per slot ``j`` of
+    the second factor in descending order adds the same products to each
+    key in the same order, and takes fewer passes when that factor has
+    fewer slots."""
     p = np.zeros((width,) + pairs.shape[2:])
-    for i in range(pairs.shape[0]):
-        p[i:i + pairs.shape[1]] += pairs[i, :width - i]
+    if pairs.shape[0] <= pairs.shape[1]:
+        for i in range(pairs.shape[0]):
+            p[i:i + pairs.shape[1]] += pairs[i, :width - i]
+    else:
+        for j in reversed(range(pairs.shape[1])):
+            p[j:j + pairs.shape[0]] += pairs[:width - j, j]
     return p
 
 
@@ -250,10 +326,27 @@ def _cleaned(p, keys, bounds):
 
 
 def _chain(p, bounds, keys):
-    """``add``'s chain over the products in the columns of ``p``, in order,
-    from ``ZERO``: ``(sum as (parts, slot), bound, maxes)``."""
-    acc, bound, above, maxes = 0.0, INF, None, []
-    for row, b in zip(p.transpose(2, 1, 0), bounds.tolist()):
+    """``add``'s chain over the finite products in the columns of ``p``, in
+    order, from ``ZERO``: ``(sum as (part, slot), bound, maxes)``.
+
+    The running sums of ``np.add.accumulate`` from ``+0.0`` are the chain's
+    sums before each ``add``'s cleanup up to its first ``add`` that clears
+    a nonzero term, by the cleanup or the bound filter; from that ``add``
+    on the adds run one at a time."""
+    terms = p.transpose(2, 1, 0)  # (add, part, slot)
+    sums = np.add.accumulate(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)))[1:]
+    mags = _abs(sums.transpose(1, 0, 2))
+    maxes = mags.max(axis=1)
+    running = np.minimum.accumulate(bounds)
+    drop = mags <= np.maximum(EPS_REL * maxes, EPS_FLOOR)[:, None]
+    drop |= keys > running[:, None]
+    clears = np.flatnonzero((drop & (mags != 0.0)).any(axis=1))
+    c = clears[0] if len(clears) else len(terms) - 1
+    acc = np.where(drop[c], 0.0, sums[c])
+    bound = float(running[c])
+    maxes = maxes[:c + 1].tolist()
+    above = keys > bound if bound < keys[-1] else None
+    for row, b in zip(terms[c + 1:], bounds[c + 1:].tolist()):
         acc = acc + row
         if b < bound:
             bound = b
@@ -268,8 +361,8 @@ def _chain(p, bounds, keys):
     return acc, bound, maxes
 
 
-def _finite(*maxes) -> bool:
-    return all(np.isfinite(m).all() for m in maxes)
+def _finite(maxes) -> bool:
+    return bool(np.isfinite(maxes).all())
 
 
 def _bound(b):
@@ -295,88 +388,98 @@ def _terms(keys, parts):
     return tuple(zip(keys[nz].tolist(), map(complex, *(x[nz].tolist() for x in parts))))
 
 
+def _sum(p, maxes, bounds, keys, fallback):
+    """The chain over the cleaned products ``p`` as one number, or
+    ``fallback()`` once a max is non-finite."""
+    if not _finite(maxes):
+        return fallback()
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc, bound, sums = _chain(p, bounds, keys)
+    if not _finite(sums):
+        return fallback()
+    return _terms(keys, acc), _bound(bound)
+
+
+def truncated(y, bound):
+    """:func:`lcpower._lattice.truncated_vector` on the arrays."""
+    x = _laid(y)
+    return _cut(x.parts, x.base, x.g, min(bound, x.bounds.min()), len(x))
+
+
+def retruncated(v, bound):
+    """:func:`lcpower._lattice.retruncated_vector` on the arrays."""
+    x = _laid(v)
+    return _cut(x.parts, x.base, x.g, bound, len(x))
+
+
 def sum_abs_squares(v):
     """:func:`lcpower._lattice._sum_abs_squares` on numpy.  The parts are
     ``re_0, im_0, re_1, im_1, ...`` as ``real_part`` and ``imag_part`` give
     them, one column each; the product of a part with itself is valid to
     ``T_i + val(part)``."""
-    if not any(e[0] for e in v):
-        return _lattice._sum_abs_squares(v)
-    (x,), (base,), g = _layout(v)
-    parts = x.transpose(0, 2, 1).reshape(len(x), 2 * len(v))
+    x = _laid(v)
+    parts = x.parts.transpose(0, 2, 1).reshape(len(x.parts), 2 * len(x))
     present = parts != 0.0  # real_part and imag_part drop zero parts
     nonempty = present.any(axis=0)
     if not nonempty.any():
         return _lattice._sum_abs_squares(v)
     parts = parts[:, nonempty]
-    vals = base + g * present[:, nonempty].argmax(axis=0)
-    bounds = np.repeat([float(e[1]) for e in v], 2)[nonempty] + vals
-    first = 2 * base
-    width = _width(2 * len(parts) - 1, bounds, first, g)
-    keys = first + g * np.arange(width)
+    vals = x.base + x.g * present[:, nonempty].argmax(axis=0)
+    bounds = np.repeat(x.bounds, 2)[nonempty] + vals
+    first = 2 * x.base
+    width = _width(2 * len(parts) - 1, bounds, first, x.g)
+    keys = first + x.g * np.arange(width)
     with np.errstate(over="ignore", invalid="ignore"):
         # the parts are real: their products keep an imaginary part of +0.0
         pairs = parts[:width, None, None] * parts[None, :width, None]
         p, maxes = _cleaned(_accumulated(pairs, width), keys, bounds)
-        acc, bound, sums = _chain(p, bounds, keys)
-    if not _finite(maxes, sums):
-        return _lattice._sum_abs_squares(v)
-    return _terms(keys, acc), _bound(bound)
+    return _sum(p, maxes, bounds, keys, lambda: _lattice._sum_abs_squares(v))
 
 
 def rayleigh_numerator(u, au):
     """:func:`lcpower._lattice.rayleigh_numerator` on numpy: one column per
     pair of nonempty ``u_i`` and ``au_i``, whose imaginary parts are negated
     as ``conjugate`` negates them."""
-    pairs = [(a, b) for a, b in zip(u, au) if a[0] and b[0]]
-    if not pairs:
+    x, y = _laid(u), _laid(au)
+    (x_nonempty, x_val), (y_nonempty, y_val) = x.valuations, y.valuations
+    pairs = x_nonempty & y_nonempty
+    if not pairs.any():
         return _lattice.rayleigh_numerator(u, au)
-    (a, b), (base_u, base_a), g = _layout(*zip(*pairs))
+    g = _stride(x, y)
+    a, b = _strided(x, g)[:, :, pairs], _strided(y, g)[:, :, pairs]
     a[:, 1] = -a[:, 1]
     # mul's bound min(T_u + val(au_i), T_au + val(u_i))
-    bounds = np.minimum(np.array([float(x[1] + y[0][0][0]) for x, y in pairs]),
-                        np.array([float(y[1] + x[0][0][0]) for x, y in pairs]))
-    first = base_u + base_a
+    bounds = np.minimum(x.bounds[pairs] + y_val[pairs], y.bounds[pairs] + x_val[pairs])
+    first = x.base + y.base
     width = _width(len(a) + len(b) - 1, bounds, first, g)
     keys = first + g * np.arange(width)
     with np.errstate(over="ignore", invalid="ignore"):
         p, maxes = _cleaned(_products(a, b, width), keys, bounds)
-        acc, bound, sums = _chain(p, bounds, keys)
-    if not _finite(maxes, sums):
-        return _lattice.rayleigh_numerator(u, au)
-    return _terms(keys, acc), _bound(bound)
+    return _sum(p, maxes, bounds, keys, lambda: _lattice.rayleigh_numerator(u, au))
 
 
 def scaled(v, s):
-    """:func:`lcpower._lattice.scaled` on numpy: one column per nonempty
-    entry of ``v``, each times ``s``, then ``clamp``.  An empty entry's
-    product is ``ZERO``, whose bound does not lower the clamp's.  A
-    monomial ``s`` (``phase_aligned``'s phase) gives one contribution per
-    key, and ``mul``'s single-term path is then cheaper than the layout."""
-    cols = [i for i, e in enumerate(v) if e[0]]
-    if not cols or len(s[0]) < 2:
+    """:func:`lcpower._lattice.scaled` on numpy: one column per entry of
+    ``v``, each times ``s``, then ``clamp``.  An empty entry's product is
+    ``ZERO``, whose bound does not lower the clamp's."""
+    x = _laid(v)
+    nonempty, x_val = x.valuations
+    if not s[0] or not nonempty.any():
         return _lattice.scaled(v, s)
-    es = [v[i] for i in cols]
-    (a, b), (base_e, base_s), g = _layout(es, (s,))
+    y = _layout((s,))
+    g = _stride(x, y)
+    a, b = _strided(x, g), _strided(y, g)
     # mul's bound min(T_e + val(s), T_s + val(e))
-    bounds = np.minimum(np.array([float(e[1]) for e in es]) + s[0][0][0],
-                        float(s[1]) + np.array([float(e[0][0][0]) for e in es]))
-    first = base_e + base_s
-    width = _width(len(a) + len(b) - 1, bounds, first, g)
+    bounds = np.where(nonempty, np.minimum(x.bounds + s[0][0][0], float(s[1]) + x_val), INF)
+    first = x.base + y.base
+    width = _width(len(a) + len(b) - 1, bounds[nonempty], first, g)
     keys = first + g * np.arange(width)
     with np.errstate(over="ignore", invalid="ignore"):
         p, maxes = _cleaned(_products(a, b, width), keys, bounds)
     if not _finite(maxes):
         return _lattice.scaled(v, s)
-    # clamp, and back to (k, complex) terms
-    bound = bounds.min()
-    re, im = p[:, 0].T, p[:, 1].T
-    present = ((re != 0.0) | (im != 0.0)) & (keys <= bound)
-    bound = _bound(bound)
-    out = [((), bound)] * len(v)
-    for i, terms in zip(cols, _rows(keys, re, im, present)):
-        out[i] = (terms, bound)
-    return tuple(out)
+    # clamp
+    return _cut(p, first, g, bounds.min(), len(x))
 
 
-NUMPY = _lattice.VectorOps(sum_abs_squares, rayleigh_numerator, scaled)
+NUMPY = _lattice.VectorOps(truncated, retruncated, sum_abs_squares, rayleigh_numerator, scaled)

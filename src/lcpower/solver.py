@@ -9,12 +9,14 @@ window (the weakly-Cauchy stopping rule).  The eigenvalue of the original
 matrix is recovered as rho * mu1 * t^(q0).
 
 The loop runs on an integer exponent lattice (1/D)Z fixed when ``solve``
-is entered: the normalized matrix and the start vector are converted once
-(:class:`lcpower.core.Lattice`) and every step calls the kernels of
-:mod:`lcpower._lattice`.  The trace keeps each step's iterate, Rayleigh
-quotient and recovered eigenvalue on that lattice and converts them on
-first access.  The matrix action, the sums of products behind the l2 norm
-and the Rayleigh quotient, and the scaling of a vector run on numpy
+is entered: the shifted matrix and the start vector are converted once
+(:class:`lcpower.core.Lattice`), the division by mu1, every step and the
+residual call the kernels of :mod:`lcpower._lattice`, and only the result
+is converted back.  The trace keeps each step's iterate and Rayleigh
+quotient on that lattice and converts them, and composes the recovered
+eigenvalue, on first access.  The matrix action, the sums of products
+behind the l2 norm and the Rayleigh quotient, and the scaling and
+truncation of a vector run on numpy
 (:mod:`lcpower._lattice_np`) when the normalized matrix has at least
 ``_lattice_np.MIN_PAIRS`` stored entries, with the same result bits as the
 Python kernel.  A start vector that loses its dominant component gets one
@@ -34,8 +36,8 @@ import numpy as np
 from . import _lattice, _lattice_np, core
 from .core import LCNumber, Lattice, as_exponent
 from .errors import DegenerateInputError, DominanceUncertainError, LostDominanceError
-from .linalg import (LCMatrix, LCVector, Polynomial, companion_matrix, matvec,
-                     min_valuation, pi_matrix, poly_eval, scale_by_monomial)
+from .linalg import (LCMatrix, LCVector, Polynomial, companion_matrix, min_valuation,
+                     pi_matrix, poly_eval, scale_by_monomial)
 
 __all__ = [
     "SolverConfig",
@@ -109,11 +111,19 @@ class TraceStep:
 
 
 class _LatticeStep(TraceStep):
-    """A step as the loop records it: its values on the solve's lattice,
-    each converted to its :class:`TraceStep` field on first access."""
+    """A step as the loop records it: its iterate and Rayleigh quotient on
+    the solve's lattice, each converted to its :class:`TraceStep` field on
+    first access.  The estimate is composed from the quotient on first
+    access too."""
 
-    def __init__(self, step: int, lat: Lattice, xs, rho, nu):
-        vars(self).update(step=step, _lat=lat, _xs=xs, _rho=rho, _nu=nu)
+    def __init__(self, step: int, lat: Lattice, xs, rho, mu, q0: int):
+        vars(self).update(step=step, _lat=lat, _xs=xs, _rho=rho, _mu=mu, _q0=q0)
+
+    @cached_property
+    def _nu(self):
+        # nu1 = rho * mu1 * t^(q0), composed exactly in this order.
+        # A = t^(q0) * A_shifted, so the eigenvalue scales by t^(+q0).
+        return _lattice.shift(_lattice.mul(self._rho, self._mu), self._q0)
 
     @cached_property
     def vector(self) -> LCVector:
@@ -252,6 +262,15 @@ def estimate_dominant_complex(B, iters: int, tol: float, seed: int = 0
 def precondition(A: LCMatrix, cfg: SolverConfig):
     """Scale to an at most finite matrix whose dominant eigenvalue has
     constant part 1.  Returns (A_norm, q0, mu1)."""
+    shifted, q0, mu1 = _shifted(A, cfg)
+    lat = Lattice([e for row in shifted.rows for e in row])
+    S = tuple(lat.vector(row) for row in shifted.rows)
+    return LCMatrix([lat.to_numbers(row) for row in _normalized(S, mu1)]), q0, mu1
+
+
+def _shifted(A: LCMatrix, cfg: SolverConfig):
+    """The at most finite matrix t^(-q0) A and the dominant eigenvalue of
+    its constant part: (shifted, q0, mu1)."""
     if A.is_zero():
         raise DegenerateInputError("zero matrix")
     q0 = min_valuation(A)
@@ -260,9 +279,13 @@ def precondition(A: LCMatrix, cfg: SolverConfig):
         pi_matrix(shifted), cfg.complex_pi_iters, cfg.complex_pi_tol, cfg.seed)
     if abs(mu1) == 0.0:
         raise DegenerateInputError("dominant constant-part eigenvalue is zero")
-    inv_mu = core.constant(1.0 / mu1)
-    a_norm = shifted.map(lambda e: e * inv_mu)
-    return a_norm, q0, mu1
+    return shifted, q0, mu1
+
+
+def _normalized(S, mu1: complex):
+    """The lattice matrix ``S`` divided by ``mu1`` as ``e * (1/mu1)`` per entry."""
+    inv_mu = _lattice.constant(1.0 / mu1)
+    return tuple(tuple(_lattice.mul(e, inv_mu) for e in row) for row in S)
 
 
 # -- the iteration -----------------------------------------------------------------
@@ -318,12 +341,11 @@ def _start_vector(cfg: SolverConfig, n: int) -> LCVector:
     return LCVector(entries).retruncated(cfg.truncation)
 
 
-def _dominant_start(A: LCMatrix, q0: Fraction, cfg: SolverConfig) -> LCVector:
+def _dominant_start(shifted: LCMatrix, cfg: SolverConfig) -> LCVector:
     """The dominant eigenvector of the constant-part matrix, as the power
     iteration of :func:`precondition` converged to it (same matrix,
     iteration count, tolerance and seed)."""
-    B = pi_matrix(scale_by_monomial(A, -q0))
-    _mu, v, _ok, _residuals = _power_complex(B, cfg.complex_pi_iters,
+    _mu, v, _ok, _residuals = _power_complex(pi_matrix(shifted), cfg.complex_pi_iters,
                                              cfg.complex_pi_tol, cfg.seed)
     return LCVector([core.constant(complex(c)) for c in v]).retruncated(cfg.truncation)
 
@@ -331,15 +353,14 @@ def _dominant_start(A: LCMatrix, q0: Fraction, cfg: SolverConfig) -> LCVector:
 def _iterate(lat: Lattice, action, ops, xs, cfg: SolverConfig, mu1: complex, q0: Fraction):
     """The loop from ``xs`` on the solve's lattice, ``action`` being the
     normalized matrix's action and ``ops`` the vector operations of its
-    kernel.  Returns (trace, steps, converged, phase-aligned last iterate,
-    pivot tie seen)."""
+    kernel.  Returns (trace, steps, converged, phase-aligned last iterate
+    on the lattice, pivot tie seen)."""
     trunc, window, q0_key = lat.key(cfg.truncation), lat.key(cfg.window), lat.key(q0)
     mu = _lattice.constant(mu1)
 
     def record(k, xs, rho):
-        # nu1 = rho * mu1 * t^(q0), composed exactly in this order.
-        # A = t^(q0) * A_shifted, so the eigenvalue scales by t^(+q0).
-        return _LatticeStep(k, lat, xs, rho, _lattice.shift(_lattice.mul(rho, mu), q0_key))
+        # the trace keeps the iterate's tuples, not the arrays of a numpy kernel
+        return _LatticeStep(k, lat, tuple(xs), rho, mu, q0_key)
 
     # a pivot tie in the user-chosen start (e.g. all-ones) is not the
     # degeneracy the warning flag tracks, so it is not collected here
@@ -365,18 +386,19 @@ def _iterate(lat: Lattice, action, ops, xs, cfg: SolverConfig, mu1: complex, q0:
         aligned, rho = aligned_new, rho_new
         if converged:
             break
-    return trace, k, converged, LCVector(lat.to_numbers(aligned)), tie_any or aligned_tie
+    return trace, k, converged, aligned, tie_any or aligned_tie
 
 
-def _residual(A: LCMatrix, v: LCVector, nu: LCNumber, window):
-    av = matvec(A, v)
-    nv = v * nu
-    diffs = [a_i - b_i for a_i, b_i in zip(av.entries, nv.entries)]
-    rwin = window
+def _residual(lat: Lattice, A, v, nu, window):
+    """The largest coefficient of ``A v - nu v`` on ``window``, lowered to
+    the bounds of the differences, with ``A``, ``v`` and ``nu`` on the
+    lattice ``lat``: (residual, window)."""
+    diffs = [_lattice.sub(a, b) for a, b in zip(_lattice.matvec(A, v), _lattice.scaled(v, nu))]
+    rwin = lat.key(window)
     for d in diffs:
-        rwin = core._bmin(rwin, d.valid_to)
-    worst = max((core.semi_norm(d, rwin) for d in diffs), default=0.0)
-    return worst, rwin
+        rwin = min(rwin, d[1])
+    worst = max((_lattice.semi_norm(d, rwin, lat.D) for d in diffs), default=0.0)
+    return worst, lat.fraction(rwin)
 
 
 def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
@@ -399,22 +421,25 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     (and hence ``converged``) may stay false; judge such runs by
     ``residual``.
     """
-    a_norm, q0, mu1 = precondition(A, cfg)
-    lat, M, xs = _on_lattice(a_norm, _start_vector(cfg, A.n),
+    # one lattice per solve: the shifted matrix, the start vector and the
+    # exponents the loop needs, and the matrix itself (q0 is on it)
+    shifted, q0, mu1 = _shifted(A, cfg)
+    lat, S, xs = _on_lattice(shifted, _start_vector(cfg, A.n),
                              cfg.truncation, cfg.window, q0)
-    action, ops = _lattice_np.kernel(M)
+    action, ops = _lattice_np.kernel(_normalized(S, mu1))
     try:
         trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
     except (LostDominanceError, DegenerateInputError):
         # roundoff wiped out the start's dominant component (a start close
         # to another eigenvector); the restart's constant entries lie on
         # the lattice
-        xs = lat.vector(_dominant_start(A, q0, cfg))
+        xs = lat.vector(_dominant_start(shifted, cfg))
         trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
-    nu1 = trace.steps[-1].estimate
-    residual, rwin = _residual(A, x, nu1, cfg.window)
+    last = trace.steps[-1]
+    residual, rwin = _residual(lat, tuple(lat.vector(row) for row in A.rows), x,
+                               last._nu, cfg.window)
     result = EigenResult(
-        eigenvalue=nu1, eigenvector=x, q0=q0, mu1=mu1,
+        eigenvalue=last.estimate, eigenvector=LCVector(lat.to_numbers(x)), q0=q0, mu1=mu1,
         iterations_used=k, converged=converged, pivot_tie_warning=tie,
         residual=residual, residual_window=rwin)
     return result, trace

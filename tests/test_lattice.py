@@ -70,6 +70,8 @@ def fingerprint(x):
         return ("number", repr(x.terms), x.valid_to)
     if isinstance(x, LCVector):
         return ("vector", [fingerprint(e) for e in x.entries], x.bound)
+    if isinstance(x, lnp.Vector):  # the numpy kernel's vectors read as tuples
+        x = tuple(x)
     if isinstance(x, tuple):
         return tuple(fingerprint(e) for e in x)
     return ("value", repr(x))
@@ -443,12 +445,34 @@ def vector_op_inputs(draw):
 
 
 @FAST
-@given(vector_op_inputs())
-def test_numpy_vector_ops(case):
+@given(vector_op_inputs(), st.one_of(st.just(INF), st.integers(-3, 12)))
+def test_numpy_vector_ops(case, bound):
     u, au, s = case
     same(lambda: lk._sum_abs_squares(u), lambda: lnp.sum_abs_squares(u))
     same(lambda: lk.rayleigh_numerator(u, au), lambda: lnp.rayleigh_numerator(u, au))
     same(lambda: lk.scaled(u, s), lambda: lnp.scaled(u, s))
+    same(lambda: lk.truncated_vector(u, bound), lambda: lnp.truncated(u, bound))
+    same(lambda: lk.retruncated_vector(u, bound), lambda: lnp.retruncated(u, bound))
+
+
+@SLOW
+@given(matrix_and_vector(max_n=4), st.integers(-2, 9), st.sampled_from(["l2", "max"]))
+def test_numpy_loop_step(case, trunc, norm_kind):
+    """Two steps of the loop on each kernel, the numpy kernel passing its
+    vectors from operation to operation without converting them: the
+    matrix action of the action, the normalization, and the Rayleigh
+    quotient and phase alignment of the normalized vector."""
+    M, x = case
+
+    def steps(action, ops):
+        ax = action(x)
+        y, tie = lk.normalize(ax, norm_kind, trunc, ops)
+        ay = action(y)
+        return (action(ax), ops.truncated(ax, trunc), y, tie, ay,
+                lk.rayleigh(y, ay, ops), lk.phase_aligned(y, ops))
+
+    same(lambda: steps(functools.partial(lk.matvec, M), lk.PYTHON),
+         lambda: steps(lnp.MatrixAction(M), lnp.NUMPY))
 
 
 def _number(*terms, bound=INF):
@@ -477,6 +501,10 @@ VECTOR_CASES = {
     # a magnitude whose finite parts overflow: abs raises
     "abs-overflows": ((_number((0, 1.3e154 + 1.3e154j), (1, 1.0), bound=2),),
                       (_number((0, 1e154)),), _number((0, 1e154), (1, 1.0))),
+    # inf - inf at key 2 of the numerator, a NaN that max() skips (see
+    # test_overflow_raises)
+    "nan-product": ((_number((0, 1.0), (1, 1e200), (2, 1e300)),),
+                    (_number((0, -1e10), (1, 1e200), (2, 1.0), bound=2),), None),
     # the overflowing key lies above every product's bound: no error
     "overflow-above-bound": ((_number((0, 1.0), (2, 1e300), bound=1),),
                              (_number((0, 1.0), (2, 1e300), bound=1),),
@@ -492,6 +520,86 @@ def test_numpy_vector_ops_cases(case):
         same(lambda: lk.rayleigh_numerator(u, au), lambda: lnp.rayleigh_numerator(u, au))
     if s is not None:
         same(lambda: lk.scaled(u, s), lambda: lnp.scaled(u, s))
+
+
+def _chain_reference(p, bounds, keys):
+    """``lnp._chain`` as ``add``'s chain runs it, one numpy pass per ``add``."""
+    acc, bound, above, maxes = 0.0, INF, None, []
+    for row, b in zip(p.transpose(2, 1, 0), bounds.tolist()):
+        acc = acc + row
+        if b < bound:
+            bound = b
+            above = keys > b if b < keys[-1] else None
+        mags = lnp._abs(acc)
+        m = max(mags.tolist())
+        maxes.append(m)
+        drop = mags <= max(lk.EPS_REL * m, lk.EPS_FLOOR)
+        if above is not None:
+            drop |= above
+        np.copyto(acc, 0.0, where=drop)
+    return acc, bound, maxes
+
+
+@st.composite
+def chains(draw):
+    """``(p, bounds, keys)`` for ``lnp._chain``: finite products over 1-6
+    keys and 1-8 adds, with signed zeros, on magnitudes over 23 orders, so
+    that the cleanup clears terms at many adds.  One add, the first, a
+    middle or the last, also gets a term 1e20 above the others (its
+    cleanup clears them), a bound below some key (the bound filter), or a
+    term near the largest float in a key that another add also fills (the
+    sum overflows)."""
+    width, parts, adds = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2])), \
+        draw(st.integers(1, 8))
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.builds(
+        lambda e, s: s * 10.0 ** e, st.floats(-20, 3), st.sampled_from([-1.0, 1.0])))
+    p = np.array(draw(st.lists(values, min_size=width * parts * adds,
+                               max_size=width * parts * adds))).reshape(width, parts, adds)
+    keys = 2 * np.arange(width) - 2
+    bounds = np.array(draw(st.lists(st.sampled_from([INF, INF, 6.0]),
+                                    min_size=adds, max_size=adds)))
+    at = draw(st.sampled_from([0, adds // 2, adds - 1]))
+    slot = draw(st.integers(0, width - 1))
+    event = draw(st.sampled_from(["cleanup", "bound", "overflow", "none"]))
+    if event == "cleanup":
+        p[slot, 0, at] = draw(st.sampled_from([1e20, -1e20]))
+    elif event == "bound":
+        bounds[at] = float(keys[slot] - draw(st.integers(0, 1)))
+    elif event == "overflow":
+        p[slot, 0, at] = p[slot, 0, draw(st.integers(0, adds - 1))] = 1.6e308
+    return p, bounds, keys
+
+
+@FAST
+@given(chains())
+def test_chain_accumulate(case):
+    """The accumulate with its check against the per-add loop: the same
+    sum bits (signed zeros included), bound and maxes, and the same verdict
+    on an overflow."""
+    p, bounds, keys = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc, bound, maxes = lnp._chain(p, bounds, keys)
+        want_acc, want_bound, want_maxes = _chain_reference(p, bounds, keys)
+    assert lnp._finite(maxes) == lnp._finite(want_maxes)
+    if lnp._finite(want_maxes):
+        assert np.asarray(acc).tobytes() == np.asarray(want_acc).tobytes()
+        assert bound == want_bound
+        assert [float(m) for m in maxes] == want_maxes
+
+
+def test_one_layout_per_vector(monkeypatch):
+    """The numpy loop lays out each vector at most once per step: the
+    operations pass their arrays on.  On ``companion21`` the only vector
+    laid out is the start vector; each step lays out two single numbers,
+    the inverse norm and the phase that scale the iterate."""
+    layouts = []
+    layout = lnp._layout
+    monkeypatch.setattr(lnp, "_layout", lambda v: layouts.append(len(v)) or layout(v))
+    A, cfg = CASES["companion21"]()
+    _result, trace = solve(A, cfg)
+    steps = len(trace.steps)
+    assert len(layouts) <= 3 * steps
+    assert layouts.count(A.n) == 1
 
 
 # small terms next to a constant term of modulus 1-1.5: |v|^2 keeps its
@@ -598,6 +706,51 @@ def test_normalize_bound(kernel, y, data):
     tol = _cleanup_tolerance(5 * n + 4 * W + 2, W, S)
     for b, a in zip(before, after):
         _window_diff(b, a, tol)
+
+
+small_reals = st.builds(lambda m, s: s * m, st.floats(1e-3, 1e-2), st.sampled_from([-1.0, 1.0]))
+
+
+@st.composite
+def edge_numbers(draw, real):
+    """``c t^v (1 + small terms)`` on a key stride of 1-3 (``c`` real
+    positive when ``real``, ``v`` even so that the root stays on the
+    lattice), bounded where the window of its inverse or root ends next to
+    a term: at its last term, one key or one stride above it, or 0-2 keys
+    above its valuation, the terms above the bound cut away (a monomial
+    when none is left)."""
+    stride = draw(st.sampled_from([1, 2, 3]))
+    v = 2 * draw(st.integers(-2, 2))
+    size = draw(st.floats(1, 1.5))
+    c = size if real else cmath.rect(size, draw(st.floats(-3.2, 3.2)))
+    keys = draw(st.lists(st.integers(1, 4), max_size=4, unique=True))
+    terms = ((v, complex(c)),) + tuple(
+        (v + stride * k, complex(draw(small_reals if real else small))) for k in sorted(keys))
+    last = terms[-1][0]
+    bound = draw(st.sampled_from([last, last + 1, last + stride, v, v + 1, v + 2]))
+    return lk.truncated((terms, INF), bound)
+
+
+@SLOW
+@given(st.sampled_from(["invert", "sqrt"]).flatmap(
+    lambda op: st.tuples(st.just(op), edge_numbers(real=op == "sqrt"))), st.data())
+def test_series_bound(case, data):
+    """Changing the input above its bound does not change ``invert`` or
+    ``sqrt`` on the bound it claims, up to the cleanup (see
+    ``test_matvec_bound``).  With ``a = c t^v (1 + eps)`` and ``e`` the l1
+    norm of ``eps``, the geometric majorant ``1 / (1 - e)`` bounds the
+    series of either and the effect of a term dropped from one of its
+    powers or partial sums, so ``S`` is ``|c|^-1 (1 - e)^-2`` for the
+    inverse and ``|c|^(1/2) (1 - e)^-2`` for the root."""
+    name, a = case
+    real = name == "sqrt"
+    a2 = _changed(data, a, small_reals if real else small)
+    before, after = getattr(lk, name)(a), getattr(lk, name)(a2)
+    c = abs(a2[0][0][1])
+    e = (_l1(a2) - c) / c
+    S = (c ** 0.5 if real else 1 / c) / (1 - e) ** 2
+    W = before[1] - before[0][0][0] + 1
+    _window_diff(before, after, _cleanup_tolerance(2 * W + 2, W, S))
 
 
 # -- whole solves ---------------------------------------------------------------------
