@@ -18,10 +18,11 @@ The loop's batched operations have two kernels: :func:`matvec` and
 :data:`PYTHON` here, and :mod:`lcpower._lattice_np`, the same float
 operations on numpy arrays.  ``solve`` picks one of them per solve
 (:func:`lcpower._lattice_np.kernel`) and passes its :class:`VectorOps` to
-:func:`normalize`, :func:`rayleigh` and :func:`phase_aligned`, which keep
-the control flow, the checks and the single-series steps for both.  The
-Python kernel serves small matrices, :mod:`lcpower.linalg` and the
-residual, and it is the reference of the numpy one.
+:func:`normalize`, :func:`norm_max`, :func:`rayleigh`,
+:func:`phase_aligned` and :func:`weakly_converged`, which keep the control
+flow, the checks and the single-series steps for both.  The Python kernel
+serves small matrices and :mod:`lcpower.linalg`, and it is the reference
+of the numpy one.
 """
 
 from __future__ import annotations
@@ -348,6 +349,23 @@ def rayleigh_numerator(u, au):
     return num
 
 
+def constants(v):
+    """Each entry's key-0 coefficient."""
+    return [coefficient(e, 0) for e in v]
+
+
+def leading(v):
+    """``norm_max``'s sort key of each entry: ``(0, key, |c|)`` of its first
+    term ``c t^key``, or ``(1, 0, 0.0)`` for an entry without terms."""
+    return [(0, e[0][0][0], abs(e[0][0][1])) if e[0] else (1, 0, 0.0) for e in v]
+
+
+def diff_semi_norms(a, b, r: int, D: int):
+    """``semi_norm(sub(a_i, b_i), r, D)`` of each pair of entries, computed
+    as it is read, so a reader that stops early raises no later error."""
+    return (semi_norm(sub(ea, eb), r, D) for ea, eb in zip(a, b))
+
+
 class VectorOps(NamedTuple):
     """The batched vector operations of the loop on one kernel."""
 
@@ -356,17 +374,20 @@ class VectorOps(NamedTuple):
     sum_abs_squares: Callable
     rayleigh_numerator: Callable
     scaled: Callable
+    constants: Callable
+    leading: Callable
+    diff_semi_norms: Callable
 
 
 PYTHON = VectorOps(truncated_vector, retruncated_vector, _sum_abs_squares,
-                   rayleigh_numerator, scaled)
+                   rayleigh_numerator, scaled, constants, leading, diff_semi_norms)
 
 
-def norm_max(v):
+def norm_max(v, ops=PYTHON):
     """Largest |v_i| under the series order: (value, index, tie).  The
     leading term decides (smaller valuation, then larger magnitude); the
     magnitude series is compared only between entries tied there."""
-    keys = [(0, e[0][0][0], abs(e[0][0][1])) if e[0] else (1, 0, 0.0) for e in v]
+    keys = ops.leading(v)
     best_i = 0
     for i in range(1, len(keys)):
         zb, qb, mb = keys[best_i]
@@ -393,7 +414,7 @@ def normalize(y, norm_kind: str, truncation: int, ops=PYTHON):
     y = ops.truncated(y, truncation)
     tie = False
     if norm_kind == "max":
-        nrm, _idx, tie = norm_max(y)
+        nrm, _idx, tie = norm_max(y, ops)
     else:
         nrm = sqrt(ops.sum_abs_squares(y))
     if not nrm[0] or nrm[0][0][0] > 0:
@@ -405,9 +426,11 @@ def normalize(y, norm_kind: str, truncation: int, ops=PYTHON):
 
 def rayleigh(u, au, ops=PYTHON):
     """(u* au) / ||u||_2^2 given the matrix action au."""
-    if not any(e[0] for e in u):
-        raise DegenerateInputError("Rayleigh quotient of the zero vector")
+    # the zero vector's sum |u_i|^2 is ZERO and raises nothing, so only a
+    # sum without terms needs the entries read
     s = ops.sum_abs_squares(u)
+    if not s[0] and all(z for z, _, _ in ops.leading(u)):
+        raise DegenerateInputError("Rayleigh quotient of the zero vector")
     if s[0] and s[0][0][0] < 0:
         raise DomainError("constant part of an infinitely large number")
     if coefficient(s, 0).real <= 0.0:
@@ -420,19 +443,20 @@ def phase_aligned(v, ops=PYTHON):
     making it real positive: (v, tie).  The pivot is the entry with the
     largest constant-coefficient modulus.  The weak limit is only defined up
     to a phase absorbed by the real-valued norm."""
-    mags = [abs(coefficient(e, 0)) for e in v]
+    consts = ops.constants(v)
+    mags = [abs(c) for c in consts]
     best = max(mags)
     tie = best > 0.0 and mags.count(best) > 1
-    c0 = coefficient(v[mags.index(best)], 0)
+    c0 = consts[mags.index(best)]
     if c0 == 0j:
         return v, tie
     phase = c0 / abs(c0)
     return (v if phase == 1.0 + 0j else ops.scaled(v, constant(phase.conjugate()))), tie
 
 
-def weakly_converged(a, b, rho_prev, rho_curr, r: int, tol: float, D: int) -> bool:
+def weakly_converged(a, b, rho_prev, rho_curr, r: int, tol: float, D: int,
+                     ops=PYTHON) -> bool:
     """The weakly-Cauchy test on the phase-aligned iterates ``a``, ``b``."""
-    for ea, eb in zip(a, b):
-        if semi_norm(sub(ea, eb), r, D) >= tol:
-            return False
+    if any(d >= tol for d in ops.diff_semi_norms(a, b, r, D)):
+        return False
     return semi_norm(sub(rho_curr, rho_prev), r, D) < tol

@@ -3,8 +3,9 @@
 :class:`MatrixAction` holds one matrix of :mod:`lcpower._lattice` and
 returns exactly what :func:`lcpower._lattice.matvec` returns for it, and
 :data:`NUMPY` holds :func:`truncated`, :func:`retruncated`,
-:func:`sum_abs_squares`, :func:`rayleigh_numerator` and :func:`scaled`,
-which return exactly what their twins in :mod:`lcpower._lattice` return:
+:func:`sum_abs_squares`, :func:`rayleigh_numerator`, :func:`scaled`,
+:func:`constants`, :func:`leading` and :func:`diff_semi_norms`, which
+return exactly what their twins in :mod:`lcpower._lattice` return:
 the same keys, the same float bits (signed zeros included), the same
 bounds and the same exceptions.  They keep every float operation of the
 Python kernel and change only the layout:
@@ -17,10 +18,13 @@ Python kernel and change only the layout:
   when it arrives as tuples, and its tuples are built only when Python
   code reads them.  In one step of the loop the matrix action's result
   ``ax`` is truncated to ``y`` by cutting its arrays, ``y`` feeds the l2
-  norm and the scaling, whose result is the next iterate ``xs``, and
-  ``xs`` feeds the matrix action and the Rayleigh quotient: no vector is
-  laid out, and only ``xs`` and its phase-aligned copy are converted to
-  tuples, for the phase alignment, the stopping check and the trace.  The matrix's layout is
+  norm (or the max norm's pivot) and the scaling, whose result is the
+  next iterate ``xs``, and ``xs`` feeds the matrix action, the Rayleigh
+  quotient and the phase alignment, whose result feeds the stopping
+  check; the trace keeps ``xs`` as it is.  No vector is laid out and none
+  is converted to tuples: a solve converts one, its result.  The max
+  norm converts the entries it compares by their magnitude series, one
+  at a time (:meth:`Vector.__getitem__`).  The matrix's layout is
   fixed per solve, and keys above the largest product bound are not
   computed.  A stride finer than the keys need only adds zero slots, whose
   products add ``+0.0`` to a sum that is never ``-0.0``, so vectors of
@@ -113,7 +117,14 @@ class Vector:
         return iter(self.numbers)
 
     def __getitem__(self, i):
-        return self.numbers[i]
+        """The number ``i``, converted alone unless the whole vector is."""
+        if "numbers" in vars(self) or not isinstance(i, int):
+            return self.numbers[i]
+        i = range(len(self))[i]
+        slots = np.flatnonzero(self.present[:, i])
+        re, im = self.parts[slots, :, i].T.tolist()
+        terms = tuple(zip((self.base + self.g * slots).tolist(), map(complex, re, im)))
+        return terms, _bound(float(self.bounds[i]))
 
     @cached_property
     def numbers(self):
@@ -482,4 +493,75 @@ def scaled(v, s):
     return _cut(p, first, g, bounds.min(), len(x))
 
 
-NUMPY = _lattice.VectorOps(truncated, retruncated, sum_abs_squares, rayleigh_numerator, scaled)
+def constants(v):
+    """:func:`lcpower._lattice.constants` on the arrays: the parts at key 0,
+    an absent term being ``+0.0`` in both."""
+    x = _laid(v)
+    slot, off = divmod(-x.base, x.g)
+    if off or not 0 <= slot < len(x.parts):
+        return [0j] * len(x)
+    return list(map(complex, *x.parts[slot].tolist()))
+
+
+def leading(v):
+    """:func:`lcpower._lattice.leading` on the arrays: the key and the
+    ``hypot`` of each entry's first term.  A magnitude that overflows goes
+    to the Python twin, whose ``abs`` raises."""
+    x = _laid(v)
+    if not len(x.parts):
+        return [(1, 0, 0.0)] * len(x)
+    first = x.present.argmax(axis=0)
+    re, im = x.parts[first, :, np.arange(len(x))].T
+    with np.errstate(over="ignore"):
+        mags = np.hypot(re, im)
+    if not _finite(mags):
+        return _lattice.leading(v)
+    return [(0, k, m) if nonempty else (1, 0, 0.0) for nonempty, k, m in zip(
+        x.present.any(axis=0).tolist(), (x.base + x.g * first).tolist(), mags.tolist())]
+
+
+def _common(x: Vector, y: Vector):
+    """``x.parts`` and ``y.parts`` on the keys ``base + g*slot`` of both:
+    ``(x_parts, y_parts, base, g)``."""
+    laid = [v for v in (x, y) if len(v.parts)]
+    if not laid:
+        return x.parts, y.parts, 0, 1
+    base = min(v.base for v in laid)
+    g = math.gcd(*(v.g for v in laid if len(v.parts) > 1), *(v.base - base for v in laid)) or 1
+    width = (max(v.base + v.g * (len(v.parts) - 1) for v in laid) - base) // g + 1
+
+    def on_grid(v):
+        parts = np.zeros((width, 2, len(v)))
+        parts[(v.base - base) // g + v.g // g * np.arange(len(v.parts))] = v.parts
+        return parts
+
+    return on_grid(x), on_grid(y), base, g
+
+
+def diff_semi_norms(a, b, r: int, D: int):
+    """:func:`lcpower._lattice.diff_semi_norms` on the arrays.  ``sub``'s
+    cleanup, its max and the semi-norm read only magnitudes, which
+    ``hypot`` gives whatever the signs, so ``a_i - b_i`` stands for
+    ``add(a_i, neg(b_i))``, an absent term being ``+0.0``.  From the first
+    entry whose difference has a non-finite magnitude or a bound below
+    ``r`` on, the Python twin takes over and raises."""
+    x, y = _laid(a), _laid(b)
+    x_parts, y_parts, base, g = _common(x, y)
+    keys = base + g * np.arange(len(x_parts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x_parts - y_parts
+        mags = np.hypot(diff[:, 0], diff[:, 1])
+        maxes = mags.max(axis=0, initial=0.0)
+        keep = (mags > np.maximum(EPS_REL * maxes, EPS_FLOOR)) & (keys <= r)[:, None]
+    norms = np.where(keep, mags, 0.0).max(axis=0, initial=0.0).tolist()
+    bad = np.flatnonzero(~np.isfinite(maxes) | (r > np.minimum(x.bounds, y.bounds)))
+    if not len(bad):
+        return norms
+    p = int(bad[0])
+    rest = range(p, len(x))
+    return chain(norms[:p], _lattice.diff_semi_norms(map(x.__getitem__, rest),
+                                                     map(y.__getitem__, rest), r, D))
+
+
+NUMPY = _lattice.VectorOps(truncated, retruncated, sum_abs_squares, rayleigh_numerator, scaled,
+                           constants, leading, diff_semi_norms)

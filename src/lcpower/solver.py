@@ -15,12 +15,14 @@ residual call the kernels of :mod:`lcpower._lattice`, and only the result
 is converted back.  The trace keeps each step's iterate and Rayleigh
 quotient on that lattice and converts them, and composes the recovered
 eigenvalue, on first access.  The matrix action, the sums of products
-behind the l2 norm and the Rayleigh quotient, and the scaling and
-truncation of a vector run on numpy
-(:mod:`lcpower._lattice_np`) when the normalized matrix has at least
-``_lattice_np.MIN_PAIRS`` stored entries, with the same result bits as the
-Python kernel.  A start vector that loses its dominant component gets one
-restart (see :func:`solve`).
+behind the l2 norm and the Rayleigh quotient, the scaling and truncation
+of a vector, the leading terms the max norm compares, the constant
+coefficients of the phase alignment and the per-entry semi-norms of the
+stopping check and the residual run on numpy (:mod:`lcpower._lattice_np`)
+when the matrix has at least ``_lattice_np.MIN_PAIRS`` stored entries,
+with the same result bits as the Python kernel; the iterates then stay
+numpy vectors from step to step and in the trace.  A start vector that
+loses its dominant component gets one restart (see :func:`solve`).
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ def _shifted(A: LCMatrix, cfg: SolverConfig):
     if A.is_zero():
         raise DegenerateInputError("zero matrix")
     q0 = min_valuation(A)
-    shifted = scale_by_monomial(A, -q0)
+    shifted = A if q0 == 0 else scale_by_monomial(A, -q0)
     mu1, _ratio = estimate_dominant_complex(
         pi_matrix(shifted), cfg.complex_pi_iters, cfg.complex_pi_tol, cfg.seed)
     if abs(mu1) == 0.0:
@@ -359,8 +361,7 @@ def _iterate(lat: Lattice, action, ops, xs, cfg: SolverConfig, mu1: complex, q0:
     mu = _lattice.constant(mu1)
 
     def record(k, xs, rho):
-        # the trace keeps the iterate's tuples, not the arrays of a numpy kernel
-        return _LatticeStep(k, lat, tuple(xs), rho, mu, q0_key)
+        return _LatticeStep(k, lat, xs, rho, mu, q0_key)
 
     # a pivot tie in the user-chosen start (e.g. all-ones) is not the
     # degeneracy the warning flag tracks, so it is not collected here
@@ -382,7 +383,7 @@ def _iterate(lat: Lattice, action, ops, xs, cfg: SolverConfig, mu1: complex, q0:
         trace.steps.append(record(k, xs, rho_new))
         aligned_new, aligned_tie = _lattice.phase_aligned(xs, ops)
         converged = _lattice.weakly_converged(aligned, aligned_new, rho, rho_new,
-                                              window, cfg.tol, lat.D)
+                                              window, cfg.tol, lat.D, ops)
         aligned, rho = aligned_new, rho_new
         if converged:
             break
@@ -392,12 +393,13 @@ def _iterate(lat: Lattice, action, ops, xs, cfg: SolverConfig, mu1: complex, q0:
 def _residual(lat: Lattice, A, v, nu, window):
     """The largest coefficient of ``A v - nu v`` on ``window``, lowered to
     the bounds of the differences, with ``A``, ``v`` and ``nu`` on the
-    lattice ``lat``: (residual, window)."""
-    diffs = [_lattice.sub(a, b) for a, b in zip(_lattice.matvec(A, v), _lattice.scaled(v, nu))]
-    rwin = lat.key(window)
-    for d in diffs:
-        rwin = min(rwin, d[1])
-    worst = max((_lattice.semi_norm(d, rwin, lat.D) for d in diffs), default=0.0)
+    lattice ``lat``, on the kernel the size of ``A`` selects:
+    (residual, window)."""
+    action, ops = _lattice_np.kernel(A)
+    av, nuv = action(v), ops.scaled(v, nu)
+    # both are clamped: every entry has the bound of the first
+    rwin = min(lat.key(window), av[0][1], nuv[0][1])
+    worst = max(ops.diff_semi_norms(av, nuv, rwin, lat.D), default=0.0)
     return worst, lat.fraction(rwin)
 
 
@@ -436,8 +438,9 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
         xs = lat.vector(_dominant_start(shifted, cfg))
         trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
     last = trace.steps[-1]
-    residual, rwin = _residual(lat, tuple(lat.vector(row) for row in A.rows), x,
-                               last._nu, cfg.window)
+    # A = t^(q0) * shifted, on the lattice the same keys and coefficients
+    A_lat = tuple(tuple(_lattice.shift(e, lat.key(q0)) for e in row) for row in S)
+    residual, rwin = _residual(lat, A_lat, x, last._nu, cfg.window)
     result = EigenResult(
         eigenvalue=last.estimate, eigenvector=LCVector(lat.to_numbers(x)), q0=q0, mu1=mu1,
         iterations_used=k, converged=converged, pivot_tie_warning=tie,

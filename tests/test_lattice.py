@@ -587,19 +587,127 @@ def test_chain_accumulate(case):
         assert [float(m) for m in maxes] == want_maxes
 
 
+@st.composite
+def offset_numbers(draw, stride, offset, coeffs):
+    """``lattice_numbers`` moved by ``offset`` keys: an offset of two strides
+    puts every key above 0, and an offset of 1 on a stride of 2 or 3 leaves
+    key 0 off the stride."""
+    return lk.shift(draw(lattice_numbers(stride, coeffs)), offset)
+
+
+@st.composite
+def loop_tail_inputs(draw):
+    """``(a, b, r)``: vectors of n = 0-6 entries, ``b`` on ``a``'s keys or
+    on others, and often ``a`` with its terms nudged and some dropped, so
+    that the differences' magnitudes span many orders, and a window ``r``
+    below, inside or above the bounds."""
+    n = draw(st.integers(0, 6))
+    stride = draw(st.sampled_from([1, 2, 3]))
+    offset = draw(st.sampled_from([0, 2 * stride, 1]))
+    coeffs = draw(vector_coefficients).filter(bool)  # a term is never 0j
+    a = [draw(offset_numbers(stride, offset, coeffs)) for _ in range(n)]
+    if draw(st.booleans()):
+        nudge = st.sampled_from([1.0, 1 + 1e-15, 1 - 1e-9, -1.0, 1j])
+        b = [(tuple((k, c * draw(nudge)) for k, c in terms if draw(st.integers(0, 4))), bound)
+             for terms, bound in a]
+    else:
+        b_stride, b_offset = draw(st.sampled_from([(stride, offset), (stride, 0), (1, 1)]))
+        b = [draw(offset_numbers(b_stride, b_offset, coeffs)) for _ in range(n)]
+    return tuple(a), tuple(b), draw(st.integers(-3, 18))
+
+
+def _on_numpy(v):
+    """``v`` as a tuple or as its laid-out ``lnp.Vector``."""
+    return st.sampled_from([v, lnp._layout(v)])
+
+
+@FAST
+@given(loop_tail_inputs(), st.data())
+def test_numpy_loop_tail_ops(case, data):
+    """``constants``, ``leading`` and ``diff_semi_norms`` on numpy against
+    their Python twins, on tuples and on ``Vector``s: the same values,
+    signed zeros included, and the same exception from the same entry."""
+    a, b, r = case
+    x, y = data.draw(_on_numpy(a)), data.draw(_on_numpy(b))
+    same(lambda: lk.constants(a), lambda: lnp.constants(x))
+    same(lambda: lk.leading(a), lambda: lnp.leading(x))
+    same(lambda: list(lk.diff_semi_norms(a, b, r, 6)),
+         lambda: list(lnp.diff_semi_norms(x, y, r, 6)))
+    same(lambda: lk.phase_aligned(a), lambda: lk.phase_aligned(x, lnp.NUMPY))
+    same(lambda: lk.weakly_converged(a, b, lk.ONE, lk.ONE, r, 1e-8, 6),
+         lambda: lk.weakly_converged(x, y, lk.ONE, lk.ONE, r, 1e-8, 6, lnp.NUMPY))
+    if a and b:  # one numpy vector, its entry converted alone
+        for i in (0, -1):
+            assert repr(lnp._layout(a)[i]) == repr(a[i])
+        same(lambda: lk.weakly_converged(a, b, lk.ONE, lk.ONE, r, 1e-8, 6),
+             lambda: lk.weakly_converged(x, b, lk.ONE, lk.ONE, r, 1e-8, 6, lnp.NUMPY))
+
+
+TAIL_CASES = {
+    # the second difference overflows in sub, after a first one of 1.0:
+    # the stopping check says no without reaching it, the full list raises
+    "diff-overflows": ((_number((0, 2.0)), _number((0, 1.5e308))),
+                       (_number((0, 1.0)), _number((0, -1.5e308)))),
+    # the second entry is bounded below the window
+    "window-above-bound": ((_number((0, 2.0)), _number((0, 1.0), bound=0)),
+                           (_number((0, 1.0)), _number((0, 1.0)))),
+    # a leading magnitude whose finite parts overflow: abs raises
+    "leading-overflows": ((_number((1, 1.5e308 + 1.5e308j)),), (_number((1, 1.0)),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES))
+def test_numpy_loop_tail_cases(case):
+    a, b = TAIL_CASES[case]
+    x, y = lnp._layout(a), lnp._layout(b)
+    same(lambda: lk.leading(a), lambda: lnp.leading(x))
+    same(lambda: list(lk.diff_semi_norms(a, b, 1, 6)),
+         lambda: list(lnp.diff_semi_norms(x, y, 1, 6)))
+    same(lambda: lk.weakly_converged(a, b, lk.ONE, lk.ONE, 1, 1e-8, 6),
+         lambda: lk.weakly_converged(x, y, lk.ONE, lk.ONE, 1, 1e-8, 6, lnp.NUMPY))
+
+
+@st.composite
+def margin_vectors(draw):
+    """Copies of one number whose leading terms are scaled to magnitudes at
+    and one float next to the max norm's 1e-12 tie margins, and some
+    entries without terms."""
+    stride = draw(st.sampled_from([1, 2, 3]))
+    terms, bound = draw(lattice_numbers(stride, units.filter(bool), empty=False))
+    margins = [1.0, -1.0, 1j, 1 + 1e-12, 1 - 1e-12, 1 + 2e-12, 1 + 1e-13,
+               float(np.nextafter(1 + 1e-12, 2)), float(np.nextafter(1 - 1e-12, 0))]
+    return tuple((((terms[0][0], terms[0][1] * f),) + terms[1:] if f is not None else (), bound)
+                 for f in draw(st.lists(st.sampled_from(margins + [None]), min_size=1, max_size=5)))
+
+
+@FAST
+@given(margin_vectors(), st.data())
+def test_numpy_norm_max_margins(v, data):
+    """The max norm and its normalization on numpy's ``leading`` against the
+    Python kernel, at the 1e-12 tie margins."""
+    x = data.draw(_on_numpy(v))
+    same(lambda: lk.norm_max(v), lambda: lk.norm_max(x, lnp.NUMPY))
+    same(lambda: lk.normalize(v, "max", 6), lambda: lk.normalize(x, "max", 6, lnp.NUMPY))
+
+
 def test_one_layout_per_vector(monkeypatch):
     """The numpy loop lays out each vector at most once per step: the
     operations pass their arrays on.  On ``companion21`` the only vector
     laid out is the start vector; each step lays out two single numbers,
-    the inverse norm and the phase that scale the iterate."""
+    the inverse norm and the phase that scale the iterate.  And it
+    converts one vector back to terms, the result."""
     layouts = []
     layout = lnp._layout
     monkeypatch.setattr(lnp, "_layout", lambda v: layouts.append(len(v)) or layout(v))
+    built = []  # the vectors converted to terms (Vector.numbers)
+    rows = lnp._rows
+    monkeypatch.setattr(lnp, "_rows", lambda *args: built.append(1) or rows(*args))
     A, cfg = CASES["companion21"]()
     _result, trace = solve(A, cfg)
     steps = len(trace.steps)
     assert len(layouts) <= 3 * steps
     assert layouts.count(A.n) == 1
+    assert len(built) <= 1
 
 
 # small terms next to a constant term of modulus 1-1.5: |v|^2 keeps its
@@ -850,3 +958,16 @@ def test_solve_matches_reference_loop_on_numpy(case, monkeypatch):
     monkeypatch.setattr(lnp, "MIN_PAIRS", 1)
     A, cfg = CASES[case]()
     assert _summary(*solve(A, cfg)) == _reference_summary(case)
+
+
+@pytest.mark.parametrize("case", ["companion21", "complex-max", "fractional-dense6-max"])
+def test_trace_same_on_both_kernels(case, monkeypatch):
+    """A trace of ``lnp.Vector`` iterates reads, step by step, as the
+    Python kernel's trace of tuples."""
+    A, cfg = CASES[case]()
+    traces = {}
+    for kernel, pairs in (("python", 10 ** 9), ("numpy", 1)):
+        monkeypatch.setattr(lnp, "MIN_PAIRS", pairs)
+        traces[kernel] = [(s.step, repr(s.vector), repr(s.rho), repr(s.estimate))
+                          for s in solve(A, cfg)[1].steps]
+    assert traces["numpy"] == traces["python"]
