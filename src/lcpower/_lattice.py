@@ -1,15 +1,16 @@
 """The series kernels of lcpower on int exponent keys: the one
-implementation of the product, the inverse and square-root series, the
-magnitude and the vector operations of the power-iteration loop.
+implementation of the sum and its cleanup, the product, the inverse and
+square-root series, the magnitude, the order comparison, the semi-norm
+and the vector operations of the power-iteration loop.
 
 Every exponent of a computation lies on one lattice ``(1/D)Z``.  A number
 is a pair ``(terms, bound)``: ``terms`` is a sorted tuple of ``(k, c)``
 standing for ``c t^(k/D)``, ``bound`` an int or ``INF``.  A vector is a
 tuple of numbers sharing one bound.  :mod:`lcpower.core` converts its
 ``Fraction``-exponent numbers to and from this form
-(:class:`lcpower.core.Lattice`) and calls these functions for ``*``,
-``invert``, ``sqrt`` and ``magnitude``; :mod:`lcpower.linalg` does the same
-for the matrix action, the norms and the Rayleigh quotient, and
+(:class:`lcpower.core.Lattice`) and calls these functions for all of its
+arithmetic, comparisons and semi-norms; :mod:`lcpower.linalg` does the
+same for the matrix action, the norms and the Rayleigh quotient, and
 :func:`lcpower.solver.solve` runs its whole loop here.  Nothing here
 imports the rest of the package apart from :mod:`lcpower.errors`.
 A value that would leave the lattice raises :class:`LatticeError`.
@@ -271,15 +272,23 @@ def magnitude(z):
     return sqrt(add(mul(re, re), mul(im, im)))
 
 
-def compare(a, b) -> int:
-    if not is_real(a) or not is_real(b):
-        raise DomainError("order comparison requires real coefficients")
+def exact_diff(a, b):
+    """The terms of a - b, merged exactly and not cleaned up: the relative
+    cleanup would erase genuinely tiny coefficients (an infinitesimal minus
+    1e-100 must still come out negative)."""
     merged = {}
     for q, c in a[0]:
         merged[q] = merged.get(q, 0j) + c
     for q, c in b[0]:
         merged[q] = merged.get(q, 0j) - c
-    diff = sorted((q, c) for q, c in merged.items() if c != 0j)
+    return sorted((q, c) for q, c in merged.items() if c != 0j)
+
+
+def compare(a, b) -> int:
+    """Order comparison for real numbers: -1, 0 or 1 as a < b, a = b, a > b."""
+    if not is_real(a) or not is_real(b):
+        raise DomainError("order comparison requires real coefficients")
+    diff = exact_diff(a, b)
     return 0 if not diff else 1 if diff[0][1].real > 0 else -1
 
 
@@ -416,7 +425,11 @@ def normalize(y, norm_kind: str, truncation: int, ops=PYTHON):
     if norm_kind == "max":
         nrm, _idx, tie = norm_max(y, ops)
     else:
-        nrm = sqrt(ops.sum_abs_squares(y))
+        # the cleanup may drop the sum's constant term next to large
+        # infinitesimal ones and leave it without a root, or with a root
+        # of positive valuation: the constant part is lost either way
+        s = ops.sum_abs_squares(y)
+        nrm = sqrt(s) if s[0] and s[0][0][0] <= 0 and s[0][0][1].real > 0.0 else ZERO
     if not nrm[0] or nrm[0][0][0] > 0:
         raise LostDominanceError(
             "normalization lost its constant part; the start vector has "

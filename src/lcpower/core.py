@@ -17,9 +17,13 @@ inputs support:
 * ``sqrt(a)``       -> T_a - val(a) / 2
 
 where ``val`` is the valuation (smallest exponent) and ``T`` the bound.
-The product, the inverse, the square root and the magnitude convert their
-operands to int exponent keys (:class:`Lattice`) and run the one
-implementation of those kernels in :mod:`lcpower._lattice`.
+Arithmetic, order comparison, semi-norms, ``eq_up_to`` and the
+coefficient-wise parts convert their operands (and a window argument) to
+int exponent keys on a lattice built for the call (:class:`Lattice`) and
+run the one implementation in :mod:`lcpower._lattice`, so its cleanup
+rule and overflow checks are the only ones.  :func:`from_terms`, the
+parser's constructor, keeps its own cleanup and its ``eps_zero`` override;
+truncation and exponent shifts stay here, on ``Fraction`` exponents.
 """
 
 from __future__ import annotations
@@ -127,54 +131,24 @@ class LCNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        bound = _bmin(self.valid_to, other.valid_to)
-        ta, tb = self.terms, other.terms
-        # two-pointer merge of the sorted term lists
-        merged = []
-        i = j = 0
-        na, nb = len(ta), len(tb)
-        while i < na and j < nb:
-            qa, ca = ta[i]
-            qb, cb = tb[j]
-            if qa < qb:
-                merged.append(ta[i])
-                i += 1
-            elif qb < qa:
-                merged.append(tb[j])
-                j += 1
-            else:
-                merged.append((qa, ca + cb))
-                i += 1
-                j += 1
-        merged.extend(ta[i:])
-        merged.extend(tb[j:])
-        if not merged:
-            return LCNumber((), bound)
-        max_mag = max(abs(c) for _, c in merged)
-        if not math.isfinite(max_mag):
-            raise ValueError("coefficient overflow in addition")
-        if max_mag == 0.0:
-            return LCNumber((), bound)
-        eps = max(EPS_REL * max_mag, EPS_FLOOR)
-        return LCNumber(tuple((q, c) for q, c in merged
-                              if abs(c) > eps and q <= bound), bound)
+        return _kernel(_lattice.add, self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LCNumber(tuple((q, -c) for q, c in self.terms), self.valid_to)
+        return _kernel(_lattice.neg, self)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return self + (-other)
+        return _kernel(_lattice.sub, self, other)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return other + (-self)
+        return _kernel(_lattice.sub, other, self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -324,19 +298,17 @@ def constant_part(a: LCNumber) -> complex:
 
 
 def is_real(a: LCNumber) -> bool:
-    return all(c.imag == 0.0 for _, c in a.terms)
+    return _lattice.is_real(Lattice((a,)).number(a))
 
 
 def real_part(a: LCNumber) -> LCNumber:
     """Coefficient-wise real part."""
-    return LCNumber(tuple((q, complex(c.real, 0.0)) for q, c in a.terms if c.real != 0.0),
-                    a.valid_to)
+    return _kernel(_lattice.real_part, a)
 
 
 def imag_part(a: LCNumber) -> LCNumber:
     """Coefficient-wise imaginary part (a real number)."""
-    return LCNumber(tuple((q, complex(c.imag, 0.0)) for q, c in a.terms if c.imag != 0.0),
-                    a.valid_to)
+    return _kernel(_lattice.imag_part, a)
 
 
 # -- the series kernels ------------------------------------------------------
@@ -404,30 +376,10 @@ def _mul(a: LCNumber, b: LCNumber) -> LCNumber:
 # -- comparison and semi-norms ----------------------------------------------
 
 
-def _exact_diff(a: LCNumber, b: LCNumber):
-    """Componentwise a - b with exact merging and no relative cleanup.
-
-    The relative cleanup threshold would erase genuinely tiny coefficients
-    (an infinitesimal minus 1e-100 must still come out negative), so order
-    comparisons work on the raw merged difference.
-    """
-    merged: dict = {}
-    for q, c in a.terms:
-        merged[q] = merged.get(q, 0j) + c
-    for q, c in b.terms:
-        merged[q] = merged.get(q, 0j) - c
-    return sorted((q, c) for q, c in merged.items() if c != 0j)
-
-
 def compare(a: LCNumber, b: LCNumber) -> int:
     """Order comparison for real numbers: -1, 0 or 1 as a < b, a = b, a > b."""
-    if not is_real(a) or not is_real(b):
-        raise DomainError("order comparison requires real coefficients")
-    diff = _exact_diff(a, b)
-    if not diff:
-        return 0
-    lead = diff[0][1].real
-    return 1 if lead > 0 else -1
+    lat = Lattice((a, b))
+    return _lattice.compare(lat.number(a), lat.number(b))
 
 
 def semi_norm(a: LCNumber, r: ExponentLike) -> float:
@@ -437,23 +389,25 @@ def semi_norm(a: LCNumber, r: ExponentLike) -> float:
     cannot certify the supremum there.
     """
     r = as_exponent(r)
-    if r > a.valid_to:
-        raise WindowExceededError(
-            f"semi-norm window {r} exceeds validity bound {a.valid_to}")
-    vals = [abs(c) for q, c in a.terms if q <= r]
-    return max(vals) if vals else 0.0
+    lat = Lattice((a,), (r,))
+    return _lattice.semi_norm(lat.number(a), lat.key(r), lat.D)
 
 
 def eq_up_to(a: LCNumber, b: LCNumber, r: ExponentLike, tol: float) -> bool:
-    """True when a and b agree coefficient-wise up to exponent r, within tol."""
+    """True when a and b agree coefficient-wise up to exponent r, within tol.
+
+    The difference is exact (:func:`lcpower._lattice.exact_diff`): the
+    cleanup would hide a disagreement far below the largest coefficient.
+    """
     r = as_exponent(r)
     bound = _bmin(a.valid_to, b.valid_to)
     if r > bound:
         raise WindowExceededError(
             f"comparison window {r} exceeds shared validity bound {bound}")
-    diff = _exact_diff(a, b)
-    worst = max((abs(c) for q, c in diff if q <= r), default=0.0)
-    return worst <= tol
+    lat = Lattice((a, b), (r,))
+    k = lat.key(r)
+    diff = _lattice.exact_diff(lat.number(a), lat.number(b))
+    return max((abs(c) for q, c in diff if q <= k), default=0.0) <= tol
 
 
 # -- structural operations ---------------------------------------------------
@@ -517,7 +471,7 @@ def sqrt(a: LCNumber, bound: BoundLike = None) -> LCNumber:
 
 
 def conjugate(z: LCNumber) -> LCNumber:
-    return LCNumber(tuple((q, c.conjugate()) for q, c in z.terms), z.valid_to)
+    return _kernel(_lattice.conjugate, z)
 
 
 def magnitude(z: LCNumber) -> LCNumber:

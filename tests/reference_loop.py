@@ -2,24 +2,26 @@
 exponents, kept as the reference that :mod:`lcpower._lattice` must match
 bit for bit.
 
-These are the product, inverse, square root and magnitude of
-:mod:`lcpower.core`, the matrix action, norms and Rayleigh quotient of
-:mod:`lcpower.linalg`, and the loop of :func:`lcpower.solver.solve`, as
+These are the sum, negation, order comparison, semi-norm, ``eq_up_to``
+and coefficient-wise parts of :mod:`lcpower.core`, its product, inverse,
+square root and magnitude, the matrix action, norms and Rayleigh quotient
+of :mod:`lcpower.linalg`, and the loop of :func:`lcpower.solver.solve`, as
 they ran before all of them moved onto int exponent keys.  Nothing here
-calls the kernel: products go through :func:`mul`, never through ``*``.
-Addition, truncation, constants, the start vector and the constant-part
-power iteration are the package's own (they never used the kernel).  The
-loop has no restart: it raises where ``solve`` restarts.
+calls the kernel: arithmetic goes through :func:`add`, :func:`sub` and
+:func:`mul`, never through ``+``, ``-`` or ``*`` on ``LCNumber``.
+Truncation, exponent shifts, constants, the start vector and the
+constant-part power iteration are the package's own (they never call the
+kernel).  The loop has no restart: it raises where ``solve`` restarts.
 """
 
 import math
 from fractions import Fraction
 
 from lcpower import core
-from lcpower.core import (INF, LCNumber, as_exponent, constant, is_real,
-                          shift_exponents, truncated)
-from lcpower.errors import (DegenerateInputError, DomainError,
-                            LostDominanceError, PrecisionError)
+from lcpower.core import (INF, LCNumber, as_exponent, constant, shift_exponents,
+                          truncated)
+from lcpower.errors import (DegenerateInputError, DomainError, LostDominanceError,
+                            PrecisionError, WindowExceededError)
 from lcpower.linalg import (LCVector, MaxNorm, min_valuation, pi_matrix,
                             scale_by_monomial)
 from lcpower.solver import (EigenResult, IterationTrace, TraceStep,
@@ -30,6 +32,102 @@ from lcpower.solver import (EigenResult, IterationTrace, TraceStep,
 
 def _bsub(x, y):
     return INF if x == INF else x - y
+
+
+def add(a, b):
+    bound = core._bmin(a.valid_to, b.valid_to)
+    ta, tb = a.terms, b.terms
+    # two-pointer merge of the sorted term lists
+    merged = []
+    i = j = 0
+    na, nb = len(ta), len(tb)
+    while i < na and j < nb:
+        qa, ca = ta[i]
+        qb, cb = tb[j]
+        if qa < qb:
+            merged.append(ta[i])
+            i += 1
+        elif qb < qa:
+            merged.append(tb[j])
+            j += 1
+        else:
+            merged.append((qa, ca + cb))
+            i += 1
+            j += 1
+    merged.extend(ta[i:])
+    merged.extend(tb[j:])
+    if not merged:
+        return LCNumber((), bound)
+    max_mag = max(abs(c) for _, c in merged)
+    if not math.isfinite(max_mag):
+        raise ValueError("coefficient overflow in addition")
+    if max_mag == 0.0:
+        return LCNumber((), bound)
+    eps = max(core.EPS_REL * max_mag, core.EPS_FLOOR)
+    return LCNumber(tuple((q, c) for q, c in merged
+                          if abs(c) > eps and q <= bound), bound)
+
+
+def neg(a):
+    return LCNumber(tuple((q, -c) for q, c in a.terms), a.valid_to)
+
+
+def sub(a, b):
+    return add(a, neg(b))
+
+
+def is_real(a):
+    return all(c.imag == 0.0 for _, c in a.terms)
+
+
+def real_part(a):
+    return LCNumber(tuple((q, complex(c.real, 0.0)) for q, c in a.terms if c.real != 0.0),
+                    a.valid_to)
+
+
+def imag_part(a):
+    return LCNumber(tuple((q, complex(c.imag, 0.0)) for q, c in a.terms if c.imag != 0.0),
+                    a.valid_to)
+
+
+def conjugate(z):
+    return LCNumber(tuple((q, c.conjugate()) for q, c in z.terms), z.valid_to)
+
+
+def _exact_diff(a, b):
+    merged = {}
+    for q, c in a.terms:
+        merged[q] = merged.get(q, 0j) + c
+    for q, c in b.terms:
+        merged[q] = merged.get(q, 0j) - c
+    return sorted((q, c) for q, c in merged.items() if c != 0j)
+
+
+def compare(a, b):
+    if not is_real(a) or not is_real(b):
+        raise DomainError("order comparison requires real coefficients")
+    diff = _exact_diff(a, b)
+    if not diff:
+        return 0
+    return 1 if diff[0][1].real > 0 else -1
+
+
+def semi_norm(a, r):
+    r = as_exponent(r)
+    if r > a.valid_to:
+        raise WindowExceededError(
+            f"semi-norm window {r} exceeds validity bound {a.valid_to}")
+    return max((abs(c) for q, c in a.terms if q <= r), default=0.0)
+
+
+def eq_up_to(a, b, r, tol):
+    r = as_exponent(r)
+    bound = core._bmin(a.valid_to, b.valid_to)
+    if r > bound:
+        raise WindowExceededError(
+            f"comparison window {r} exceeds shared validity bound {bound}")
+    worst = max((abs(c) for q, c in _exact_diff(a, b) if q <= r), default=0.0)
+    return worst <= tol
 
 
 def mul(a, b):
@@ -96,13 +194,13 @@ def invert(a):
         return LCNumber(((-lam, 1.0 / c),), out_bound)
     series_bound = _series_window(a, lam, "inverse")
     n_terms = int(series_bound / eps.terms[0][0]) + 1
-    neg_eps = -eps
+    neg_eps = neg(eps)
     acc = power = constant(1.0)
     for _ in range(1, n_terms):
         power = truncated(mul(power, neg_eps), series_bound)
         if not power.terms:
             break
-        acc = acc + power
+        acc = add(acc, power)
     acc = truncated(acc, series_bound)
     return shift_exponents(mul(acc, constant(1.0 / c)), -lam)
 
@@ -128,7 +226,7 @@ def sqrt(a):
         power = truncated(mul(power, eps), series_bound)
         if not power.terms:
             break
-        acc = acc + mul(power, constant(coeff))
+        acc = add(acc, mul(power, constant(coeff)))
     acc = truncated(acc, series_bound)
     return shift_exponents(mul(acc, constant(root_c)), lam / 2)
 
@@ -137,9 +235,9 @@ def magnitude(z):
     if not z.terms:
         return z
     if is_real(z):
-        return z if z.terms[0][1].real > 0 else -z
-    re, im = core.real_part(z), core.imag_part(z)
-    return sqrt(mul(re, re) + mul(im, im))
+        return z if z.terms[0][1].real > 0 else neg(z)
+    re, im = real_part(z), imag_part(z)
+    return sqrt(add(mul(re, re), mul(im, im)))
 
 
 # -- vectors ------------------------------------------------------------------------
@@ -156,7 +254,7 @@ def matvec(A, x):
     for row in A.rows:
         acc = core.zero()
         for a_ij, x_j in zip(row, x.entries):
-            acc = acc + mul(a_ij, x_j)
+            acc = add(acc, mul(a_ij, x_j))
         out.append(acc)
     return LCVector(out)
 
@@ -164,8 +262,8 @@ def matvec(A, x):
 def _sum_abs_squares(x):
     acc = core.zero()
     for e in x.entries:
-        re, im = core.real_part(e), core.imag_part(e)
-        acc = acc + mul(re, re) + mul(im, im)
+        re, im = real_part(e), imag_part(e)
+        acc = add(add(acc, mul(re, re)), mul(im, im))
     return acc
 
 
@@ -194,7 +292,7 @@ def norm_max_info(x):
     best = magnitude(x.entries[best_i])
     for i in finalists[1:]:
         m = magnitude(x.entries[i])
-        cmp = core.compare(m, best)
+        cmp = compare(m, best)
         if cmp > 0:
             best, best_i, tie = m, i, False
         elif cmp == 0:
@@ -210,7 +308,7 @@ def rayleigh_quotient_from_action(u, au):
         raise DegenerateInputError("vector norm has vanishing constant part")
     num = core.zero()
     for u_i, au_i in zip(u.entries, au.entries):
-        num = num + mul(core.conjugate(u_i), au_i)
+        num = add(num, mul(conjugate(u_i), au_i))
     return mul(num, invert(s))
 
 
@@ -235,8 +333,10 @@ def normalize_vector(y, norm_kind, truncation):
     tie = False
     if norm_kind == "max":
         nrm, _idx, tie = norm_max_info(y)
-    else:
-        nrm = norm_l2(y)
+    else:  # a sum whose cleanup dropped its constant term has lost it
+        s = _sum_abs_squares(y)
+        lost = not s.terms or s.terms[0][0] > 0 or s.terms[0][1].real <= 0.0
+        nrm = core.zero() if lost else sqrt(s)
     if nrm.is_zero or nrm.terms[0][0] > 0:
         raise LostDominanceError(
             "normalization lost its constant part; the start vector has "
@@ -253,9 +353,9 @@ def weakly_converged(x_prev, x_curr, rho_prev, rho_curr, r, tol):
     a, _ = phase_aligned(x_prev)
     b, _ = phase_aligned(x_curr)
     for ea, eb in zip(a.entries, b.entries):
-        if core.semi_norm(ea - eb, r) >= tol:
+        if semi_norm(sub(ea, eb), r) >= tol:
             return False
-    return core.semi_norm(rho_curr - rho_prev, r) < tol
+    return semi_norm(sub(rho_curr, rho_prev), r) < tol
 
 
 def precondition(A, cfg):
@@ -272,11 +372,11 @@ def recover(rho, mu1, q0):
 
 
 def residual(A, v, nu, window):
-    diffs = [a_i - b_i for a_i, b_i in zip(matvec(A, v).entries, scaled(v, nu).entries)]
+    diffs = [sub(a_i, b_i) for a_i, b_i in zip(matvec(A, v).entries, scaled(v, nu).entries)]
     rwin = window
     for d in diffs:
         rwin = core._bmin(rwin, d.valid_to)
-    return max((core.semi_norm(d, rwin) for d in diffs), default=0.0), rwin
+    return max((semi_norm(d, rwin) for d in diffs), default=0.0), rwin
 
 
 def solve(A, cfg):

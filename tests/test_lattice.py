@@ -5,16 +5,17 @@ Every kernel operation runs next to its counterpart on the same random
 inputs and must agree bit for bit: the ``repr`` of the terms after
 conversion (so a ``-0.0`` counts), the validity bound, and the exception
 type and message wherever the reference raises.  The counterpart is the
-``Fraction``-exponent code of ``reference_loop`` for the operations that
-``core``, ``linalg`` and ``solver`` now delegate to the kernel, and
-``core`` itself for those it still computes on ``Fraction`` exponents.
-The public wrappers are checked against the same reference.  A
-solve-level test then checks that ``solve`` reproduces the reference loop
-byte for byte.
+``Fraction``-exponent code of ``reference_loop``, which never calls the
+kernel, for the operations that ``core``, ``linalg`` and ``solver``
+delegate to it, and ``core`` itself for the truncations it still
+computes on ``Fraction`` exponents.  The public wrappers are checked
+against the same reference.  A solve-level test then checks that
+``solve`` reproduces the reference loop byte for byte.
 """
 
 import cmath
 import functools
+import operator
 from fractions import Fraction as F
 
 import numpy as np
@@ -109,21 +110,29 @@ def to_vector(lat, v):
 def test_binary_ops(a, b):
     lat = lattice(a, b)
     ka, kb = lat.number(a), lat.number(b)
-    same(lambda: a + b, lambda: lat.to_number(lk.add(ka, kb)))
-    same(lambda: a - b, lambda: lat.to_number(lk.sub(ka, kb)))
-    same(lambda: reference_loop.mul(a, b), lambda: lat.to_number(lk.mul(ka, kb)))
-    same(lambda: reference_loop.mul(a, b), lambda: a * b)
-    same(lambda: core.compare(a, b), lambda: lk.compare(ka, kb))
+    for name, public in (("add", operator.add), ("sub", operator.sub), ("mul", operator.mul)):
+        reference = functools.partial(getattr(reference_loop, name), a, b)
+        same(reference, lambda: lat.to_number(getattr(lk, name)(ka, kb)))
+        same(reference, lambda: public(a, b))
+    same(lambda: reference_loop.compare(a, b), lambda: lk.compare(ka, kb))
+    same(lambda: reference_loop.compare(a, b), lambda: core.compare(a, b))
+
+
+# windows on the operands' lattice and off it (a denominator of 5)
+windows = st.builds(F, st.integers(-6, 12), st.sampled_from([1, 2, 3, 5]))
 
 
 @FAST
-@given(any_numbers, exponents)
-def test_window_ops(a, r):
-    lat = lattice(a, window=r)
+@given(any_numbers, any_numbers, windows, st.sampled_from([0.0, 1e-6, 1.0, 1e6]))
+def test_window_ops(a, b, r, tol):
+    lat = lattice(a, b, window=r)
     ka, kr = lat.number(a), lat.key(r)
     same(lambda: core.truncated(a, r), lambda: lat.to_number(lk.truncated(ka, kr)))
     same(lambda: core.retruncate(a, r), lambda: lat.to_number(lk.retruncate(ka, kr)))
-    same(lambda: core.semi_norm(a, r), lambda: lk.semi_norm(ka, kr, lat.D))
+    same(lambda: reference_loop.semi_norm(a, r), lambda: lk.semi_norm(ka, kr, lat.D))
+    same(lambda: reference_loop.semi_norm(a, r), lambda: core.semi_norm(a, r))
+    same(lambda: reference_loop.eq_up_to(a, b, r, tol), lambda: core.eq_up_to(a, b, r, tol))
+    same(lambda: reference_loop.eq_up_to(a, a, r, tol), lambda: core.eq_up_to(a, a, r, tol))
     same(lambda: a[0], lambda: lk.coefficient(ka, 0))
 
 
@@ -132,10 +141,63 @@ def test_window_ops(a, r):
 def test_unary_ops(a):
     lat = lattice(a)
     ka = lat.number(a)
-    same(lambda: core.real_part(a), lambda: lat.to_number(lk.real_part(ka)))
-    same(lambda: core.imag_part(a), lambda: lat.to_number(lk.imag_part(ka)))
-    same(lambda: core.conjugate(a), lambda: lat.to_number(lk.conjugate(ka)))
-    same(lambda: -a, lambda: lat.to_number(lk.neg(ka)))
+    for name, public in (("real_part", core.real_part), ("imag_part", core.imag_part),
+                         ("conjugate", core.conjugate), ("neg", operator.neg)):
+        reference = functools.partial(getattr(reference_loop, name), a)
+        same(reference, lambda: lat.to_number(getattr(lk, name)(ka)))
+        same(reference, lambda: public(a))
+    same(lambda: reference_loop.is_real(a), lambda: lk.is_real(ka))
+    same(lambda: reference_loop.is_real(a), lambda: core.is_real(a))
+
+
+def _at(q, c, bound=INF):
+    return core.from_terms([(q, c)], bound)
+
+
+# sums whose cleanup or bound filter decides a term, on mixed denominators
+# and finite or INF bounds, each with a window on the operands' lattice or
+# off it
+EDGE_CASES = {
+    # 1e-14 is exactly EPS_REL times the largest magnitude: cleared
+    "at-eps-rel": (_at(0, 1.0), _at(1, 1e-14), F(1)),
+    "above-eps-rel": (_at(0, 1.0), _at(1, 2e-14), F(1, 5)),
+    # 1e-300 is exactly EPS_FLOOR, above EPS_REL times 1e-290: cleared
+    # (from_terms would clear it already)
+    "at-eps-floor": (_at(0, 1e-290), core.LCNumber(((F(1), 1e-300 + 0j),), INF), F(1)),
+    # the term at 1/2 lies on the shared bound, the one at 1 above it
+    "on-the-bound": (core.from_terms([(0, 1.0), (F(1, 2), 1.0)], 3),
+                     core.from_terms([(1, 1.0)], F(1, 2)), F(1, 2)),
+    "mixed-denominators": (core.from_terms([(F(1, 3), 1.0), (2, -1.0)], F(7, 3)),
+                           core.from_terms([(F(1, 2), 2.0), (2, 1.0)], F(5, 2)), F(2, 5)),
+    "cancel-to-zero": (core.from_terms([(F(2, 3), 3.0)], 4), _at(F(2, 3), -3.0), F(3, 7)),
+    "tiny-below-infinitesimal": (_at(1, 1.0), _at(0, 1e-100), F(1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_cases(case):
+    a, b, r = EDGE_CASES[case]
+    for x, y in ((a, b), (b, a)):
+        same(lambda: reference_loop.add(x, y), lambda: x + y)
+        same(lambda: reference_loop.sub(x, y), lambda: x - y)
+        same(lambda: reference_loop.compare(x, y), lambda: core.compare(x, y))
+        same(lambda: reference_loop.eq_up_to(x, y, r, 1e-100),
+             lambda: core.eq_up_to(x, y, r, 1e-100))
+        s = reference_loop.add(x, y)
+        same(lambda: reference_loop.semi_norm(s, r), lambda: core.semi_norm(s, r))
+
+
+def test_reference_never_calls_the_kernel(monkeypatch):
+    """The reference loop runs with the kernel's arithmetic disabled."""
+    A, cfg = CASES["fractional-max"]()
+
+    def disabled(*args):
+        raise AssertionError("the reference called the kernel")
+
+    for name in ("add", "mul", "compare", "semi_norm"):
+        monkeypatch.setattr(lk, name, disabled)
+    result, _trace = reference_loop.solve(A, cfg)
+    assert result.converged
 
 
 @SLOW
@@ -267,7 +329,7 @@ def test_weakly_converged_at_tolerance():
 
 huge = st.builds(lambda e, s: s * 10.0 ** e, st.floats(150, 308), st.sampled_from([-1.0, 1.0]))
 # comparable magnitudes: the order of a key's contributions shows in its sum
-units = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+units = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)).filter(bool)  # never 0j
 
 
 @st.composite
@@ -604,7 +666,7 @@ def loop_tail_inputs(draw):
     n = draw(st.integers(0, 6))
     stride = draw(st.sampled_from([1, 2, 3]))
     offset = draw(st.sampled_from([0, 2 * stride, 1]))
-    coeffs = draw(vector_coefficients).filter(bool)  # a term is never 0j
+    coeffs = draw(vector_coefficients)
     a = [draw(offset_numbers(stride, offset, coeffs)) for _ in range(n)]
     if draw(st.booleans()):
         nudge = st.sampled_from([1.0, 1 + 1e-15, 1 - 1e-9, -1.0, 1j])
@@ -673,7 +735,7 @@ def margin_vectors(draw):
     and one float next to the max norm's 1e-12 tie margins, and some
     entries without terms."""
     stride = draw(st.sampled_from([1, 2, 3]))
-    terms, bound = draw(lattice_numbers(stride, units.filter(bool), empty=False))
+    terms, bound = draw(lattice_numbers(stride, units, empty=False))
     margins = [1.0, -1.0, 1j, 1 + 1e-12, 1 - 1e-12, 1 + 2e-12, 1 + 1e-13,
                float(np.nextafter(1 + 1e-12, 2)), float(np.nextafter(1 - 1e-12, 0))]
     return tuple((((terms[0][0], terms[0][1] * f),) + terms[1:] if f is not None else (), bound)

@@ -240,28 +240,35 @@ class TestSolve:
         assert abs(res.eigenvalue[0] - (3 + 1j)) < 1e-9
 
 
-# Random 2x2 draws (bench rand2x2 at seeds 19 and 77) whose all-ones start
-# lies close to the subdominant eigenvector: roundoff wipes out the
-# dominant component within a few steps, and the loop raises the named
-# error unless it restarts.
+# Random 2x2 draws (bench rand2x2 at seeds 19, 77 and 4501) whose all-ones
+# start loses the dominant component, and the error the loop raises unless
+# it restarts.  At seeds 19 and 77 the start lies close to the subdominant
+# eigenvector and roundoff wipes that component out within a few steps.
+# At seed 4501, step 20's sum |y_i|^2 has terms up to 2e13 at t^6, so the
+# cleanup drops its constant term and it leads with a negative t^(1/2)
+# term, which has no square root.
 LOST_START = {
-    LostDominanceError: (
+    "LostDominanceError": (LostDominanceError, (
         "2.0896846348536835 - 0.21508547173172474*t^3; "
         "-2.6393273894761364 - 0.07059629276403367*t^3\n"
         "-2.106735512794197 - 0.08080968277912193*t^(1/2) + 0.10671963644435051*t^5; "
-        "1.552920754440966 - 0.049396145757861054*t^5 + 0.23805392642644402*t^6"),
-    DegenerateInputError: (
+        "1.552920754440966 - 0.049396145757861054*t^5 + 0.23805392642644402*t^6")),
+    "DegenerateInputError": (DegenerateInputError, (
         "-0.07848387525110745 - 0.08773271634269511*t^2 + 0.05008281828183586*t^6; "
         "1.4126848534751701 + 0.23387905692999372*t^6\n"
         "2.225885637964393 - 0.27013163782988575*t^(1/2); "
-        "-0.8962767590555512 - 0.02326211541997264*t^2"),
+        "-0.8962767590555512 - 0.02326211541997264*t^2")),
+    "sum-loses-constant-term": (LostDominanceError, (
+        "-0.23132740430389465; 1.6964435142283047 - 0.20271784455322545*t^6\n"
+        "1.9160913873988399 - 0.11913614013204979*t^4; "
+        "-0.45344953735361226 + 0.07721204498674678*t^(1/2)")),
 }
 
 
-@pytest.mark.parametrize("error", sorted(LOST_START, key=lambda e: e.__name__),
-                         ids=lambda e: e.__name__)
-def test_restart_when_start_loses_dominance(error):
-    A = parse_matrix(LOST_START[error])
+@pytest.mark.parametrize("case", sorted(LOST_START))
+def test_restart_when_start_loses_dominance(case):
+    error, text = LOST_START[case]
+    A = parse_matrix(text)
     cfg = SolverConfig(truncation=F(6), max_iters=600, tol=1e-12, start="ones")
     with pytest.raises(error):  # the loop without the restart
         reference_loop.solve(A, cfg)
@@ -270,6 +277,7 @@ def test_restart_when_start_loses_dominance(error):
     assert res.converged
     assert eq_up_to(res.eigenvalue, nu1, 6, 1e-8)
     assert res.residual < 1e-10
+
 
 class TestPolyRoot:
     def test_linear(self):
