@@ -4,9 +4,10 @@ The package provides exact-exponent truncated series arithmetic
 (:mod:`lcpower.core`), dense linear algebra over it
 (:mod:`lcpower.linalg`), a power-iteration eigensolver with valuation
 preprocessing (:mod:`lcpower.solver`), and text formats and a CLI
-(:mod:`lcpower.textio`, :mod:`lcpower.cli`).  The series product,
-inverse, square root and magnitude and the loop's vector operations have
-one implementation, on int exponent keys (:mod:`lcpower._lattice`).
+(:mod:`lcpower.textio`, :mod:`lcpower.cli`).  The series arithmetic,
+comparison and semi-norms and the loop's vector operations have one
+implementation (:mod:`lcpower._lattice`); the product, inverse, square
+root and magnitude run there on int exponent keys.
 """
 
 from .core import (INF, LCNumber, as_exponent, compare, conjugate, constant,

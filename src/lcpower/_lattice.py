@@ -6,13 +6,14 @@ and the vector operations of the power-iteration loop.
 Every exponent of a computation lies on one lattice ``(1/D)Z``.  A number
 is a pair ``(terms, bound)``: ``terms`` is a sorted tuple of ``(k, c)``
 standing for ``c t^(k/D)``, ``bound`` an int or ``INF``.  A vector is a
-tuple of numbers sharing one bound.  :mod:`lcpower.core` converts its
-``Fraction``-exponent numbers to and from this form
-(:class:`lcpower.core.Lattice`) and calls these functions for all of its
-arithmetic, comparisons and semi-norms; :mod:`lcpower.linalg` does the
-same for the matrix action, the norms and the Rayleigh quotient, and
-:func:`lcpower.solver.solve` runs its whole loop here.  Nothing here
-imports the rest of the package apart from :mod:`lcpower.errors`.
+tuple of numbers sharing one bound.  :mod:`lcpower.core` calls these
+functions for all of its arithmetic, comparisons and semi-norms, and
+:mod:`lcpower.linalg` for the matrix action, the norms and the Rayleigh
+quotient; :func:`lcpower.solver.solve` runs its whole loop here.
+:func:`add`, :func:`neg`, :func:`sub`, the coefficient-wise parts,
+:func:`exact_diff`, :func:`compare` and :func:`semi_norm` only order
+keys and accept any exactly ordered type, e.g. ``Fraction``.  Nothing
+here imports the rest of the package apart from :mod:`lcpower.errors`.
 A value that would leave the lattice raises :class:`LatticeError`.
 
 The loop's batched operations have two kernels: :func:`matvec` and
@@ -293,7 +294,7 @@ def compare(a, b) -> int:
 
 
 def semi_norm(a, r: int, D: int) -> float:
-    """sup of the coefficient magnitudes over keys <= r, on the lattice (1/D)Z."""
+    """sup of the coefficient magnitudes over keys <= r; errors name r/D and the bound/D."""
     if r > a[1]:
         raise WindowExceededError(f"semi-norm window {Fraction(r, D)} exceeds "
                                   f"validity bound {Fraction(a[1], D)}")

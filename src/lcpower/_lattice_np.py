@@ -200,9 +200,6 @@ class MatrixAction:
         self._M = M
         self._n = n = len(M)
         stored = [[(j, a) for j, a in enumerate(row) if a[0]] for row in M]
-        keys = sorted({k for row in stored for _, a in row for k, _ in a[0]})
-        self._base = base = keys[0] if keys else 0
-        self._g = g = math.gcd(*(k - base for k in keys)) or 1
         # the stored entries in (t, row) order for the t-th entry of a row:
         # each row-sum pass then reads one contiguous block of products
         self._passes, cols, entries = [], [], []
@@ -215,16 +212,11 @@ class MatrixAction:
                 entries.append(a)
             self._passes.append((slice(None) if len(rows) == n else np.array(rows), block))
         self._cols = np.array(cols, dtype=np.intp)
-        self._width = width = (keys[-1] - base) // g + 1 if keys else 0
+        a = _layout(entries)
+        self._base, self._g, self._width = a.base, a.g, len(a.parts)
         # key slots by entries: every ufunc below runs along the entries
-        a_parts = np.zeros((2, width, len(entries)))
-        for p, (terms, _) in enumerate(entries):
-            for k, c in terms:
-                a_parts[:, (k - base) // g, p] = c.real, c.imag
-        self._slots = [(s, a_parts[0, s].copy(), a_parts[1, s].copy())
-                       for s in sorted({(k - base) // g for k in keys})]
-        self._a_val = np.array([float(a[0][0][0]) for a in entries])
-        self._a_bound = np.array([float(a[1]) for a in entries])
+        self._slots = [(s, *a.parts[s]) for s in np.flatnonzero(a.present.any(axis=1)).tolist()]
+        self._a_val, self._a_bound = a.valuations[1], a.bounds
 
     def __call__(self, x):
         n, g = self._n, self._g

@@ -48,11 +48,11 @@ class RunManifest:
     kind: str                      # "matrix" | "polynomial"
     input_path: Path
     config: SolverConfig
+    trace_every: int
+    trace_columns: int
     out_path: Optional[Path] = None
     trace_path: Optional[Path] = None
     reference_path: Optional[Path] = None
-    trace_every: int = 10
-    trace_columns: int = 12
 
     def __post_init__(self):
         paths = [p for p in (self.input_path, self.out_path, self.trace_path,

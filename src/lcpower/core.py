@@ -18,12 +18,14 @@ inputs support:
 
 where ``val`` is the valuation (smallest exponent) and ``T`` the bound.
 Arithmetic, order comparison, semi-norms, ``eq_up_to`` and the
-coefficient-wise parts convert their operands (and a window argument) to
-int exponent keys on a lattice built for the call (:class:`Lattice`) and
-run the one implementation in :mod:`lcpower._lattice`, so its cleanup
-rule and overflow checks are the only ones.  :func:`from_terms`, the
-parser's constructor, keeps its own cleanup and its ``eps_zero`` override;
-truncation and exponent shifts stay here, on ``Fraction`` exponents.
+coefficient-wise parts run the one implementation in
+:mod:`lcpower._lattice`, so its cleanup rule and overflow checks are the
+only ones.  The product, the inverse, the square root and the magnitude
+add exponents and run on int keys of a lattice built for the call
+(:class:`Lattice`); the rest run on the ``Fraction`` exponents as they
+are.  :func:`from_terms`, the parser's constructor, keeps its own cleanup
+and its ``eps_zero`` override; truncation and exponent shifts stay here,
+on ``Fraction`` exponents.
 """
 
 from __future__ import annotations
@@ -131,24 +133,24 @@ class LCNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return _kernel(_lattice.add, self, other)
+        return _exact(_lattice.add, self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _kernel(_lattice.neg, self)
+        return _exact(_lattice.neg, self)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return _kernel(_lattice.sub, self, other)
+        return _exact(_lattice.sub, self, other)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return _kernel(_lattice.sub, other, self)
+        return _exact(_lattice.sub, other, self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -298,17 +300,17 @@ def constant_part(a: LCNumber) -> complex:
 
 
 def is_real(a: LCNumber) -> bool:
-    return _lattice.is_real(Lattice((a,)).number(a))
+    return _lattice.is_real((a.terms, a.valid_to))
 
 
 def real_part(a: LCNumber) -> LCNumber:
     """Coefficient-wise real part."""
-    return _kernel(_lattice.real_part, a)
+    return _exact(_lattice.real_part, a)
 
 
 def imag_part(a: LCNumber) -> LCNumber:
     """Coefficient-wise imaginary part (a real number)."""
-    return _kernel(_lattice.imag_part, a)
+    return _exact(_lattice.imag_part, a)
 
 
 # -- the series kernels ------------------------------------------------------
@@ -369,6 +371,11 @@ def _kernel(fn, *args: LCNumber) -> LCNumber:
     return lat.to_number(fn(*map(lat.number, args)))
 
 
+def _exact(fn, *args: LCNumber) -> LCNumber:
+    """``fn`` of :mod:`lcpower._lattice` on the ``Fraction`` exponents of ``args``."""
+    return LCNumber(*fn(*[(a.terms, a.valid_to) for a in args]))
+
+
 def _mul(a: LCNumber, b: LCNumber) -> LCNumber:
     return _kernel(_lattice.mul, a, b)
 
@@ -378,8 +385,7 @@ def _mul(a: LCNumber, b: LCNumber) -> LCNumber:
 
 def compare(a: LCNumber, b: LCNumber) -> int:
     """Order comparison for real numbers: -1, 0 or 1 as a < b, a = b, a > b."""
-    lat = Lattice((a, b))
-    return _lattice.compare(lat.number(a), lat.number(b))
+    return _lattice.compare((a.terms, a.valid_to), (b.terms, b.valid_to))
 
 
 def semi_norm(a: LCNumber, r: ExponentLike) -> float:
@@ -388,9 +394,7 @@ def semi_norm(a: LCNumber, r: ExponentLike) -> float:
     Raises when ``r`` lies beyond the validity bound: the stored window
     cannot certify the supremum there.
     """
-    r = as_exponent(r)
-    lat = Lattice((a,), (r,))
-    return _lattice.semi_norm(lat.number(a), lat.key(r), lat.D)
+    return _lattice.semi_norm((a.terms, a.valid_to), as_exponent(r), 1)
 
 
 def eq_up_to(a: LCNumber, b: LCNumber, r: ExponentLike, tol: float) -> bool:
@@ -404,10 +408,8 @@ def eq_up_to(a: LCNumber, b: LCNumber, r: ExponentLike, tol: float) -> bool:
     if r > bound:
         raise WindowExceededError(
             f"comparison window {r} exceeds shared validity bound {bound}")
-    lat = Lattice((a, b), (r,))
-    k = lat.key(r)
-    diff = _lattice.exact_diff(lat.number(a), lat.number(b))
-    return max((abs(c) for q, c in diff if q <= k), default=0.0) <= tol
+    diff = _lattice.exact_diff((a.terms, a.valid_to), (b.terms, b.valid_to))
+    return max((abs(c) for q, c in diff if q <= r), default=0.0) <= tol
 
 
 # -- structural operations ---------------------------------------------------
@@ -471,7 +473,7 @@ def sqrt(a: LCNumber, bound: BoundLike = None) -> LCNumber:
 
 
 def conjugate(z: LCNumber) -> LCNumber:
-    return _kernel(_lattice.conjugate, z)
+    return _exact(_lattice.conjugate, z)
 
 
 def magnitude(z: LCNumber) -> LCNumber:

@@ -83,15 +83,19 @@ class SolverConfig:
             self.check_window = as_exponent(self.check_window)
             if self.check_window > self.truncation:
                 raise ValueError("check_window must not exceed the truncation")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0:  # also rejects NaN
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.norm_kind not in ("l2", "max"):
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-        if isinstance(self.start, str) and self.start != "ones" \
-                and not self.start.startswith("random:"):
-            raise ValueError(f"unknown start vector choice {self.start!r}")
+        self._seed = 0
+        if isinstance(self.start, str) and self.start != "ones":
+            kind, _, seed = self.start.partition(":")
+            if kind != "random" or not (seed.isascii() and seed.isdigit()):
+                raise ValueError(f"unknown start vector choice {self.start!r} (expected "
+                                 "'ones' or 'random:<seed>', a non-negative integer seed)")
+            self._seed = int(seed)
 
     @property
     def window(self) -> Fraction:
@@ -99,9 +103,7 @@ class SolverConfig:
 
     @property
     def seed(self) -> int:
-        if isinstance(self.start, str) and self.start.startswith("random:"):
-            return int(self.start.split(":", 1)[1])
-        return 0
+        return self._seed
 
 
 @dataclass(frozen=True)

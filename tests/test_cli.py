@@ -132,6 +132,15 @@ class TestExitCodes:
         assert run_cli(["solve-matrix", matrix_file, "--truncation", "6",
                         "--out", matrix_file]) == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("flags", [["--start", "random:abc"], ["--start", "random:-1"],
+                                       ["--tol", "nan"]])
+    def test_bad_config_value(self, tmp_path, matrix_file, capsys, flags):
+        out = tmp_path / "r.json"
+        assert run_cli(["solve-matrix", matrix_file, "--truncation", "6", "--max-iters", "50",
+                        "--out", out, *flags]) == cli.EXIT_INTERNAL
+        assert flags[1] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGershgorin:
     def test_diagonal(self, tmp_path, capsys):

@@ -247,3 +247,93 @@ class TestShiftTruncate:
         a = from_terms([(0, 1), (2, 1)], valid_to=4)
         assert retruncate(a, 9).valid_to == F(9)
         assert retruncate(a, 1).valid_to == F(1)
+
+
+class TestOperators:
+    def test_order(self):
+        one_plus_t = lc("1 + t")
+        assert t < 1 and not t < 0
+        assert constant(1) <= 1 and t <= t
+        assert one_plus_t > 1 and not one_plus_t > one_plus_t
+        assert one_plus_t >= constant(1) and not t >= 1
+        assert 1 < one_plus_t  # reflected: (1 + t).__gt__(1)
+
+    def test_order_rejects(self):
+        with pytest.raises(TypeError):
+            t < "1"
+        with pytest.raises(TypeError):
+            t >= None
+        with pytest.raises(DomainError):
+            constant(1j) < 1
+        with pytest.raises(DomainError):
+            t >= from_terms([(0, 1), (1, 2j)])
+
+    def test_pow(self):
+        a = lc("1 + t")
+        assert (a ** 0).terms == constant(1).terms
+        assert (a ** 3).terms == lc("1 + 3*t + 3*t^2 + t^3").terms
+        b = truncated(a, 4)
+        got = b ** -2  # 1 / (1 + t)^2 = sum (-1)^k (k + 1) t^k
+        assert got.valid_to == 4
+        assert got.terms == tuple((F(k), complex((-1) ** k * (k + 1))) for k in range(5))
+        with pytest.raises(TypeError):
+            a ** 0.5
+
+    def test_division(self):
+        b = truncated(lc("1 + t"), 3)
+        assert eq_up_to(lc("2 + 2*t") / b, constant(2), 3, 1e-15)
+        assert (lc("2 + 4*t") / 2).terms == lc("1 + 2*t").terms
+        assert (lc("2 + 4*t") / 2).valid_to == INF
+        with pytest.raises(TypeError):
+            t / "2"
+
+    def test_reflected(self):
+        assert (1 - t).terms == lc("1 - t").terms
+        assert (2 / constant(4)).terms == constant(0.5).terms
+        got = 2 / truncated(lc("1 + t"), 3)
+        assert got.terms == lc("2 - 2*t + 2*t^2 - 2*t^3").terms
+        assert got.valid_to == 3
+
+    def test_bool(self):
+        assert t and constant(1e-200)
+        assert not zero() and not zero(3)
+        assert not (t - t)
+
+    def test_leading_coefficient(self):
+        assert core.leading_coefficient(from_terms([(2, 3), (3, 2j)])) == 3
+        assert core.leading_coefficient(from_terms([(F(-1, 2), 2j), (0, 1)])) == 2j
+        assert core.leading_coefficient(zero(5)) == 0j
+
+
+def test_exponent_order_ops_build_no_lattice(monkeypatch):
+    """The sum, the comparisons, the semi-norms and the coefficient parts
+    only merge, compare and filter exponents, so they run on the numbers'
+    own ``Fraction`` exponents; the product and the series build a lattice."""
+    a = from_terms([(0, 1), (F(1, 3), 0.5j), (F(3, 2), 2)], valid_to=F(5, 2))
+    b = from_terms([(0, 1), (F(1, 2), -1)], valid_to=F(7, 3))
+    r = from_terms([(0, 3), (F(1, 2), 1)], valid_to=4)
+
+    def no_lattice(*args):
+        raise AssertionError("a Lattice was built")
+
+    monkeypatch.setattr(core, "Lattice", no_lattice)
+    assert (a + b).terms == ((0, 2), (F(1, 3), 0.5j), (F(1, 2), -1), (F(3, 2), 2))
+    assert (a + b).valid_to == F(7, 3)
+    assert (1 + b).terms == ((0, 2), (F(1, 2), -1)) and (a - a).terms == ()
+    assert (a - b).terms == ((F(1, 3), 0.5j), (F(1, 2), 1), (F(3, 2), 2))
+    assert (1 - b).terms == ((F(1, 2), 1),)
+    assert (-b).terms == ((0, -1), (F(1, 2), 1)) and (-b).valid_to == F(7, 3)
+    assert core.real_part(a).terms == ((0, 1), (F(3, 2), 2))
+    assert core.imag_part(a).terms == ((F(1, 3), 0.5),)
+    assert conjugate(a).terms == ((0, 1), (F(1, 3), -0.5j), (F(3, 2), 2))
+    assert not core.is_real(a) and core.is_real(b)
+    assert compare(r, r + 1) < 0 and r > b
+    # windows off the operands' exponents
+    assert semi_norm(a, F(2, 5)) == 1.0
+    with pytest.raises(WindowExceededError, match="window 13/5 exceeds validity bound 5/2"):
+        semi_norm(a, F(13, 5))
+    assert eq_up_to(a, b, F(2, 7), 0.0) and not eq_up_to(a, b, F(2, 5), 0.4)
+    for kernel_call in (lambda: a * b, lambda: invert(b), lambda: sqrt(r),
+                        lambda: magnitude(a)):
+        with pytest.raises(AssertionError, match="Lattice"):
+            kernel_call()

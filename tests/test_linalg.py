@@ -45,6 +45,17 @@ class TestMatvec:
             matvec(I2, LCVector([1, 2, 3]))
 
 
+class TestVector:
+    def test_sub(self):
+        d = LCVector([1, T]) - LCVector([T, truncated(T, 3)])
+        assert [e.terms for e in d] == [parse_series("1 - t").terms, ()]
+        assert d.bound == 3
+
+    def test_sub_length_mismatch(self):
+        with pytest.raises(DegenerateInputError, match="length mismatch"):
+            LCVector([1, T]) - LCVector([1, T, 1])
+
+
 class TestValuationScaling:
     def test_min_valuation(self):
         assert min_valuation(parse_matrix("2; t\nt; 1")) == 0

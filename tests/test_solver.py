@@ -41,6 +41,16 @@ class TestConfig:
         assert SolverConfig(truncation=F(6), start="random:77").seed == 77
         assert SolverConfig(truncation=F(6)).seed == 0
 
+    @pytest.mark.parametrize("start", ["random:abc", "random:", "random:-1", "random:1.5"])
+    def test_bad_seed(self, start):
+        with pytest.raises(ValueError, match=start):
+            SolverConfig(truncation=F(6), start=start)
+
+    def test_nan_tol(self):
+        # nan <= 0 is False: a NaN tolerance would run max_iters unconverged
+        with pytest.raises(ValueError, match="nan"):
+            SolverConfig(truncation=F(6), tol=float("nan"))
+
 
 class TestEstimateDominant:
     def test_diagonal(self):
