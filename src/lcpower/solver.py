@@ -2,27 +2,30 @@
 
 Pipeline: factor out the smallest valuation q0 so every entry becomes at
 most finite, estimate the dominant eigenvalue mu1 of the constant-part
-matrix, divide the matrix by mu1 so the target eigenvalue has constant
-part 1, then iterate multiply-and-normalize until successive iterates and
+matrix (A's coefficients at t^(q0); one power iteration per solve),
+divide the matrix by mu1 so the target eigenvalue has constant part 1,
+then iterate multiply-and-normalize until successive iterates and
 Rayleigh quotients agree coefficient-wise within tolerance on the check
 window (the weakly-Cauchy stopping rule).  The eigenvalue of the original
 matrix is recovered as rho * mu1 * t^(q0).
 
 The loop runs on an integer exponent lattice (1/D)Z fixed when ``solve``
-is entered: the shifted matrix and the start vector are converted once
-(:class:`lcpower.core.Lattice`), the division by mu1, every step and the
-residual call the kernels of :mod:`lcpower._lattice`, and only the result
-is converted back.  The trace keeps each step's iterate and Rayleigh
-quotient on that lattice and converts them, and composes the recovered
-eigenvalue, on first access.  The matrix action, the sums of products
-behind the l2 norm and the Rayleigh quotient, the scaling and truncation
-of a vector, the leading terms the max norm compares, the constant
-coefficients of the phase alignment and the per-entry semi-norms of the
-stopping check and the residual run on numpy (:mod:`lcpower._lattice_np`)
-when the matrix has at least ``_lattice_np.MIN_PAIRS`` stored entries,
-with the same result bits as the Python kernel; the iterates then stay
-numpy vectors from step to step and in the trace.  A start vector that
-loses its dominant component gets one restart (see :func:`solve`).
+is entered: A itself (q0 is one of its exponents) and the start vector are
+converted once (:class:`lcpower.core.Lattice`), the shift by t^(-q0), the
+division by mu1, every step and the residual call the kernels of
+:mod:`lcpower._lattice`, and only the result is converted back.  The trace
+keeps each step's iterate and Rayleigh quotient on that lattice and
+converts them, and composes the recovered eigenvalue, on first access.
+The matrix action, the sums of products behind the l2 norm and the
+Rayleigh quotient, the scaling and truncation of a vector, the leading
+terms the max norm compares, the constant coefficients of the phase
+alignment and the per-entry semi-norms of the stopping check and the
+residual run on numpy (:mod:`lcpower._lattice_np`) when the matrix has at
+least ``_lattice_np.MIN_PAIRS`` stored entries, with the same result bits
+as the Python kernel; the iterates then stay numpy vectors from step to
+step and in the trace.  A start vector that loses its dominant component
+gets one restart from the eigenvector the constant-part power iteration
+converged to (see :func:`solve`).
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ import numpy as np
 from . import _lattice, _lattice_np, core
 from .core import LCNumber, Lattice, as_exponent
 from .errors import DegenerateInputError, DominanceUncertainError, LostDominanceError
-from .linalg import (LCMatrix, LCVector, Polynomial, companion_matrix, min_valuation,
-                     pi_matrix, poly_eval, scale_by_monomial)
+from .linalg import LCMatrix, LCVector, Polynomial, companion_matrix, min_valuation, poly_eval
 
 __all__ = [
     "SolverConfig",
@@ -79,14 +81,19 @@ class SolverConfig:
 
     def __post_init__(self):
         self.truncation = as_exponent(self.truncation)
+        if self.truncation < 0:
+            raise ValueError(f"truncation must be >= 0, got {self.truncation}")
         if self.check_window is not None:
             self.check_window = as_exponent(self.check_window)
-            if self.check_window > self.truncation:
-                raise ValueError("check_window must not exceed the truncation")
-        if not self.tol > 0:  # also rejects NaN
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            if not 0 <= self.check_window <= self.truncation:
+                raise ValueError(f"check_window must lie in [0, truncation], "
+                                 f"got {self.check_window}")
+        for name in ("tol", "complex_pi_tol"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("max_iters", "complex_pi_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.norm_kind not in ("l2", "max"):
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
         self._seed = 0
@@ -237,10 +244,17 @@ def estimate_dominant_complex(B, iters: int, tol: float, seed: int = 0
     (every eigenvalue tied), or when the estimated ratio exceeds the
     dominance margin.
     """
+    mu, ratio, _v = _estimate_dominant(B, iters, tol, seed)
+    return mu, ratio
+
+
+def _estimate_dominant(B, iters: int, tol: float, seed: int):
+    """:func:`estimate_dominant_complex`, with the eigenvector the power
+    iteration converged to: (mu1, ratio, vector)."""
     B = np.asarray(B, dtype=complex)
     if not B.any():
         raise DegenerateInputError("zero constant-part matrix")
-    mu, _v, ok, residuals = _power_complex(B, iters, tol, seed)
+    mu, v, ok, residuals = _power_complex(B, iters, tol, seed)
     if not ok or abs(mu) <= 1e-300:
         raise DominanceUncertainError(
             "power iteration on the constant-part matrix did not converge; "
@@ -257,7 +271,7 @@ def estimate_dominant_complex(B, iters: int, tol: float, seed: int = 0
         raise DominanceUncertainError(
             f"second eigenvalue too close in modulus (ratio {ratio:.6f})",
             estimate=complex(mu), ratio=ratio)
-    return complex(mu), float(ratio)
+    return complex(mu), float(ratio), v
 
 
 # -- preprocessing ----------------------------------------------------------------
@@ -266,30 +280,30 @@ def estimate_dominant_complex(B, iters: int, tol: float, seed: int = 0
 def precondition(A: LCMatrix, cfg: SolverConfig):
     """Scale to an at most finite matrix whose dominant eigenvalue has
     constant part 1.  Returns (A_norm, q0, mu1)."""
-    shifted, q0, mu1 = _shifted(A, cfg)
-    lat = Lattice([e for row in shifted.rows for e in row])
-    S = tuple(lat.vector(row) for row in shifted.rows)
-    return LCMatrix([lat.to_numbers(row) for row in _normalized(S, mu1)]), q0, mu1
+    q0, mu1, _v = _constant_eigenpair(A, cfg)
+    lat, A_lat, _ = _on_lattice(A, ())
+    return LCMatrix([lat.to_numbers(row) for row in _normalized(A_lat, lat.key(q0), mu1)]), q0, mu1
 
 
-def _shifted(A: LCMatrix, cfg: SolverConfig):
-    """The at most finite matrix t^(-q0) A and the dominant eigenvalue of
-    its constant part: (shifted, q0, mu1)."""
+def _constant_eigenpair(A: LCMatrix, cfg: SolverConfig):
+    """The smallest valuation q0 of ``A`` and the dominant eigenpair of the
+    constant part of t^(-q0) A, the coefficients of ``A`` at t^(q0), as its
+    power iteration converged to it: (q0, mu1, eigenvector)."""
     if A.is_zero():
         raise DegenerateInputError("zero matrix")
     q0 = min_valuation(A)
-    shifted = A if q0 == 0 else scale_by_monomial(A, -q0)
-    mu1, _ratio = estimate_dominant_complex(
-        pi_matrix(shifted), cfg.complex_pi_iters, cfg.complex_pi_tol, cfg.seed)
+    B = np.array([[e[q0] for e in row] for row in A.rows], dtype=complex)
+    mu1, _ratio, v = _estimate_dominant(B, cfg.complex_pi_iters, cfg.complex_pi_tol, cfg.seed)
     if abs(mu1) == 0.0:
         raise DegenerateInputError("dominant constant-part eigenvalue is zero")
-    return shifted, q0, mu1
+    return q0, mu1, v
 
 
-def _normalized(S, mu1: complex):
-    """The lattice matrix ``S`` divided by ``mu1`` as ``e * (1/mu1)`` per entry."""
+def _normalized(A_lat, q0_key: int, mu1: complex):
+    """t^(-q0) A / mu1 from ``A`` on a lattice, as ``t^(-q0) e * (1/mu1)`` per entry."""
     inv_mu = _lattice.constant(1.0 / mu1)
-    return tuple(tuple(_lattice.mul(e, inv_mu) for e in row) for row in S)
+    return tuple(tuple(_lattice.mul(_lattice.shift(e, -q0_key), inv_mu) for e in row)
+                 for row in A_lat)
 
 
 # -- the iteration -----------------------------------------------------------------
@@ -304,11 +318,11 @@ def power_step(A_norm: LCMatrix, x: LCVector, norm_kind: str, truncation
     return LCVector(lat.to_numbers(x_new)), tie
 
 
-def _on_lattice(A_norm: LCMatrix, x: LCVector, *exponents):
-    """The lattice of a loop over ``A_norm`` from ``x`` (with ``exponents``
-    on it too), and the matrix and the vector converted to it."""
-    lat = Lattice([e for row in A_norm.rows for e in row] + list(x), exponents)
-    return lat, tuple(lat.vector(row) for row in A_norm.rows), lat.vector(x)
+def _on_lattice(A: LCMatrix, x, *exponents):
+    """The lattice of a loop over ``A`` from ``x`` (with ``exponents`` on
+    it too), and the matrix and the vector converted to it."""
+    lat = Lattice([e for row in A.rows for e in row] + list(x), exponents)
+    return lat, tuple(lat.vector(row) for row in A.rows), lat.vector(x)
 
 
 def weakly_converged(x_prev: LCVector, x_curr: LCVector,
@@ -324,68 +338,54 @@ def weakly_converged(x_prev: LCVector, x_curr: LCVector,
                                      lat.key(r), tol, lat.D)
 
 
-def _start_vector(cfg: SolverConfig, n: int) -> LCVector:
+def _start_vector(cfg: SolverConfig, n: int, dominant=None) -> LCVector:
+    """The start vector ``cfg.start`` of length ``n``, or the restart's
+    constant vector ``dominant``."""
     start = cfg.start
-    if isinstance(start, LCVector):
+    if dominant is not None:
+        values = dominant
+    elif isinstance(start, LCVector):
         if len(start) != n:
             raise DegenerateInputError(
                 f"start vector has length {len(start)}, matrix is {n}x{n}")
         return start.retruncated(cfg.truncation)
-    if start == "ones":
-        entries = [core.constant(1.0)] * n
+    elif start == "ones":
+        values = [1.0] * n
     else:
         rng = np.random.default_rng(cfg.seed)
-        entries = []
+        values = []
         for _ in range(n):
             while True:  # uniform on the complex unit disk
                 re, im = rng.uniform(-1.0, 1.0, 2)
                 if re * re + im * im <= 1.0:
                     break
-            entries.append(core.constant(complex(re, im)))
-    return LCVector(entries).retruncated(cfg.truncation)
+            values.append(complex(re, im))
+    return LCVector([core.constant(complex(c)) for c in values]).retruncated(cfg.truncation)
 
 
-def _dominant_start(shifted: LCMatrix, cfg: SolverConfig) -> LCVector:
-    """The dominant eigenvector of the constant-part matrix, as the power
-    iteration of :func:`precondition` converged to it (same matrix,
-    iteration count, tolerance and seed)."""
-    _mu, v, _ok, _residuals = _power_complex(pi_matrix(shifted), cfg.complex_pi_iters,
-                                             cfg.complex_pi_tol, cfg.seed)
-    return LCVector([core.constant(complex(c)) for c in v]).retruncated(cfg.truncation)
-
-
-def _iterate(lat: Lattice, action, ops, xs, cfg: SolverConfig, mu1: complex, q0: Fraction):
-    """The loop from ``xs`` on the solve's lattice, ``action`` being the
-    normalized matrix's action and ``ops`` the vector operations of its
-    kernel.  Returns (trace, steps, converged, phase-aligned last iterate
-    on the lattice, pivot tie seen)."""
+def _iterate(lat: Lattice, action, ops, y, cfg: SolverConfig, mu1: complex, q0: Fraction):
+    """The loop from the start vector ``y`` on the solve's lattice,
+    ``action`` being the normalized matrix's action and ``ops`` the vector
+    operations of its kernel.  Returns (trace, steps, converged,
+    phase-aligned last iterate on the lattice, pivot tie seen)."""
     trunc, window, q0_key = lat.key(cfg.truncation), lat.key(cfg.window), lat.key(q0)
     mu = _lattice.constant(mu1)
-
-    def record(k, xs, rho):
-        return _LatticeStep(k, lat, xs, rho, mu, q0_key)
-
-    # a pivot tie in the user-chosen start (e.g. all-ones) is not the
-    # degeneracy the warning flag tracks, so it is not collected here
-    xs, _start_tie = _lattice.normalize(xs, cfg.norm_kind, trunc, ops)
-    # one matrix action per step, shared between the Rayleigh quotient of
-    # the current iterate and the next normalization
-    ax = action(xs)
-    rho = _lattice.retruncate(_lattice.rayleigh(xs, ax, ops), trunc)
-    aligned, aligned_tie = _lattice.phase_aligned(xs, ops)
-    trace = IterationTrace([record(0, xs, rho)])
-
+    trace = IterationTrace()
     tie_any = converged = False
-    k = 0
-    for k in range(1, cfg.max_iters + 1):
-        xs, tie = _lattice.normalize(ax, cfg.norm_kind, trunc, ops)
-        tie_any |= tie
-        ax = action(xs)
-        rho_new = _lattice.retruncate(_lattice.rayleigh(xs, ax, ops), trunc)
-        trace.steps.append(record(k, xs, rho_new))
+    for k in range(cfg.max_iters + 1):
+        xs, tie = _lattice.normalize(y, cfg.norm_kind, trunc, ops)
+        # one matrix action per step, shared between the Rayleigh quotient
+        # of this iterate and the next normalization
+        y = action(xs)
+        rho_new = _lattice.retruncate(_lattice.rayleigh(xs, y, ops), trunc)
+        trace.steps.append(_LatticeStep(k, lat, xs, rho_new, mu, q0_key))
         aligned_new, aligned_tie = _lattice.phase_aligned(xs, ops)
-        converged = _lattice.weakly_converged(aligned, aligned_new, rho, rho_new,
-                                              window, cfg.tol, lat.D, ops)
+        # step 0 has no previous step, and its pivot tie (e.g. all-ones)
+        # is the start's, not the degeneracy the warning flag tracks
+        if k:
+            tie_any |= tie
+            converged = _lattice.weakly_converged(aligned, aligned_new, rho, rho_new,
+                                                  window, cfg.tol, lat.D, ops)
         aligned, rho = aligned_new, rho_new
         if converged:
             break
@@ -425,23 +425,20 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     (and hence ``converged``) may stay false; judge such runs by
     ``residual``.
     """
-    # one lattice per solve: the shifted matrix, the start vector and the
-    # exponents the loop needs, and the matrix itself (q0 is on it)
-    shifted, q0, mu1 = _shifted(A, cfg)
-    lat, S, xs = _on_lattice(shifted, _start_vector(cfg, A.n),
-                             cfg.truncation, cfg.window, q0)
-    action, ops = _lattice_np.kernel(_normalized(S, mu1))
+    q0, mu1, dominant = _constant_eigenpair(A, cfg)
+    # one lattice per solve: the matrix (q0 is one of its exponents), the
+    # start vector and the exponents the loop needs
+    lat, A_lat, xs = _on_lattice(A, _start_vector(cfg, A.n), cfg.truncation, cfg.window)
+    action, ops = _lattice_np.kernel(_normalized(A_lat, lat.key(q0), mu1))
     try:
         trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
     except (LostDominanceError, DegenerateInputError):
         # roundoff wiped out the start's dominant component (a start close
         # to another eigenvector); the restart's constant entries lie on
         # the lattice
-        xs = lat.vector(_dominant_start(shifted, cfg))
+        xs = lat.vector(_start_vector(cfg, A.n, dominant))
         trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
     last = trace.steps[-1]
-    # A = t^(q0) * shifted, on the lattice the same keys and coefficients
-    A_lat = tuple(tuple(_lattice.shift(e, lat.key(q0)) for e in row) for row in S)
     residual, rwin = _residual(lat, A_lat, x, last._nu, cfg.window)
     result = EigenResult(
         eigenvalue=last.estimate, eigenvector=LCVector(lat.to_numbers(x)), q0=q0, mu1=mu1,

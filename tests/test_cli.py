@@ -141,6 +141,26 @@ class TestExitCodes:
         assert flags[1] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, flags, config", [
+        ("check_window", ["--check-window", "-1"], ""),
+        ("truncation", ["--truncation", "-1"], ""),
+        ("complex_pi_iters", [], "complex_pi_iters = 0\n"),
+        ("complex_pi_tol", [], "complex_pi_tol = nan\n"),
+        ("complex_pi_tol", [], "complex_pi_tol = 0\n")],
+        ids=["check_window", "truncation", "complex_pi_iters", "complex_pi_tol-nan",
+             "complex_pi_tol-0"])
+    def test_out_of_range_setting(self, tmp_path, capsys, name, flags, config):
+        m = tmp_path / "m.txt"
+        m.write_text("2 + t; 1\n1; 1\n")
+        cfgfile = tmp_path / "solver.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "r.json"
+        assert run_cli(["solve-matrix", m, "--config", cfgfile, "--truncation", "3", *flags,
+                        "--out", out]) == cli.EXIT_INTERNAL
+        assert f"error: {name} must" in capsys.readouterr().err
+        assert not out.exists()
+
+
 
 class TestGershgorin:
     def test_diagonal(self, tmp_path, capsys):

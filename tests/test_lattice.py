@@ -29,7 +29,7 @@ from lcpower import core, linalg, solver
 from lcpower.core import INF, Lattice
 from lcpower.linalg import LCMatrix, LCVector
 from lcpower.solver import SolverConfig, solve
-from lcpower.textio import parse_matrix, serialize_series
+from lcpower.textio import parse_matrix, parse_series, serialize_series
 import reference_loop
 from randgen import random_dominated_2x2
 
@@ -984,6 +984,13 @@ CASES = {
         SolverConfig(truncation=F(3), norm_kind="max", tol=1e-10)),
     "random-start": lambda: (parse_matrix("3 + t; 1; 0\n1; 1; t\n0; t^2; 0.5"),
                              SolverConfig(truncation=F(3), start="random:7")),
+    # q0 = 1/2, shifted away on the lattice of A, and a start term at
+    # t^(1/3), which puts that lattice at (1/12)Z
+    "half-valuation-third-start": lambda: (parse_matrix(
+        "2*t^(1/2) + t^(3/2); t^(3/2)\n"
+        "t^(3/2); t^(1/2) + 0.5*t^2"),
+        SolverConfig(truncation=F(3), tol=1e-10, start=LCVector(
+            [parse_series("1 + 0.5*t^(1/3)"), parse_series("1")]))),
     # above lnp.MIN_PAIRS: the loop runs on the numpy matrix action
     "fractional-dense6-max": lambda: (_fractional_dense(6), SolverConfig(
         truncation=F(2), norm_kind="max", tol=1e-10)),

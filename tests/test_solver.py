@@ -1,15 +1,16 @@
 """Unit tests for the power-iteration eigensolver."""
 
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from lcpower import core
+from lcpower import core, solver
 from lcpower.core import constant, eq_up_to, semi_norm, shift_exponents, zero
 from lcpower.errors import (DegenerateInputError, DominanceUncertainError,
                             LostDominanceError)
-from lcpower.linalg import LCVector, Polynomial, companion_matrix, pi_matrix
+from lcpower.linalg import LCMatrix, LCVector, Polynomial, companion_matrix, pi_matrix
 from lcpower.solver import (SolverConfig, estimate_dominant_complex,
                             poly_dominant_root, power_step, precondition, solve,
                             weakly_converged)
@@ -50,6 +51,18 @@ class TestConfig:
         # nan <= 0 is False: a NaN tolerance would run max_iters unconverged
         with pytest.raises(ValueError, match="nan"):
             SolverConfig(truncation=F(6), tol=float("nan"))
+
+    # a negative check window compares no terms and reports converged after
+    # one step; a negative truncation loses every iterate; the complex_pi_*
+    # settings made the constant-part power iteration report dominance
+    # uncertain after up to 500 wasted iterations
+    @pytest.mark.parametrize("name, value", [
+        ("truncation", F(-1)), ("check_window", F(-1)), ("complex_pi_iters", 0),
+        ("complex_pi_iters", -3), ("complex_pi_tol", float("nan")), ("complex_pi_tol", 0.0),
+        ("complex_pi_tol", -1e-12)], ids=lambda v: str(v))
+    def test_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} .*got {re.escape(str(value))}$"):
+            SolverConfig(**{"truncation": F(6), name: value})
 
 
 class TestEstimateDominant:
@@ -287,6 +300,58 @@ def test_restart_when_start_loses_dominance(case):
     assert res.converged
     assert eq_up_to(res.eigenvalue, nu1, 6, 1e-8)
     assert res.residual < 1e-10
+
+
+@pytest.mark.parametrize("case", [*sorted(LOST_START), "no-restart"])
+def test_one_constant_part_power_iteration_per_solve(case, monkeypatch):
+    """The restart starts from the eigenvector of the constant-part power
+    iteration that found mu1; it does not run that iteration again."""
+    calls = []
+    power = solver._power_complex
+    monkeypatch.setattr(solver, "_power_complex", lambda *args: calls.append(1) or power(*args))
+    text = "2 + t; 1\n1; 1" if case == "no-restart" else LOST_START[case][1]
+    solve(parse_matrix(text), SolverConfig(truncation=F(6), max_iters=600, tol=1e-12))
+    assert len(calls) == 1
+
+
+_EXPONENTS = (F(1, 2), F(1), F(3, 2), F(2), F(3))
+
+
+def _exact_dominated(rng):
+    """An n x n matrix, n in 2..4, of exact entries (bound INF): a random
+    constant part plus two terms at exponents from ``_EXPONENTS``, or None
+    when the constant part's |mu2/mu1| exceeds 0.8."""
+    n = int(rng.integers(2, 5))
+    B = rng.uniform(-1.0, 1.0, (n, n))
+    moduli = sorted(abs(np.linalg.eigvals(B)), reverse=True)
+    if moduli[1] > 0.8 * moduli[0]:
+        return None
+    return LCMatrix([[core.from_terms([(0, B[i, j])] + [
+        (_EXPONENTS[k], rng.uniform(-0.5, 0.5))
+        for k in rng.choice(len(_EXPONENTS), 2, replace=False)]) for j in range(n)]
+        for i in range(n)])
+
+
+def test_terms_above_the_truncation_change_nothing():
+    """Adding c t^(19/3) + d t^7 to every entry, above the truncation 6 and
+    off the matrix's lattice, leaves the step count and the eigenvalue on
+    the window unchanged.  Seed and draw count were fixed before any run,
+    and every accepted draw is kept."""
+    rng = np.random.default_rng(18)
+    cfg = SolverConfig(truncation=F(6), max_iters=300, tol=1e-10)
+    draws = 0
+    while draws < 8:
+        A = _exact_dominated(rng)
+        if A is None:
+            continue
+        draws += 1
+        high = LCMatrix([[e + core.from_terms([(F(19, 3), rng.uniform(-1, 1)),
+                                               (F(7), rng.uniform(-1, 1))]) for e in row]
+                         for row in A.rows])
+        res, _ = solve(A, cfg)
+        res_high, _ = solve(high, cfg)
+        assert res_high.iterations_used == res.iterations_used
+        assert eq_up_to(res_high.eigenvalue, res.eigenvalue, cfg.window, 1e-10)
 
 
 class TestPolyRoot:
