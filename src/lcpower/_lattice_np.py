@@ -61,7 +61,14 @@ scaling gives it an infinite bound, which the clamp ignores, and the
 matrix action gives it an infinite bound, so that adding it repeats the
 cleanup idempotently.  The parts of ``|v_i|^2`` are real series, whose
 products keep an imaginary part of exactly ``+0.0``, so
-:func:`sum_abs_squares` runs on real arrays and ``np.abs``.  Inputs that
+:func:`sum_abs_squares` runs on real arrays and ``np.abs``.  The matrix
+action and the products of :func:`rayleigh_numerator` and :func:`scaled`
+do the same, with the parts ``(re,)``, when both factors' imaginary arrays
+are all zero (``+0.0`` or ``-0.0``, as ``conjugate`` makes them): the
+dropped ``ai*bi`` and imaginary parts are ``±0.0``, which leave a nonzero
+sum unchanged and a ``+0.0`` accumulator at ``+0.0``, and ``hypot(re,
+±0.0)`` is ``abs(re)``; :func:`scaled` pads its imaginary part with
+``+0.0``.  Inputs that
 do not fit a layout (no terms, a matrix action's ``x`` off the matrix's
 stride) and arithmetic that meets a non-finite value are handed to the
 Python kernel, which then gives the result or raises.
@@ -217,6 +224,7 @@ class MatrixAction:
         # key slots by entries: every ufunc below runs along the entries
         self._slots = [(s, *a.parts[s]) for s in np.flatnonzero(a.present.any(axis=1)).tolist()]
         self._a_val, self._a_bound = a.valuations[1], a.bounds
+        self._real = not a.parts[:, 1].any()
 
     def __call__(self, x):
         n, g = self._n, self._g
@@ -242,31 +250,36 @@ class MatrixAction:
         keys = first + g * np.arange(width)
         # a row sum drops keys above its bound only if some bound is that low
         clip = bounds.min() < keys[-1]
+        # on real factors only the real parts are formed (see the module
+        # docstring: the imaginary ones are +0.0 in the end)
+        real = self._real and not x_parts[:, 1].any()
         with np.errstate(over="ignore", invalid="ignore"):
             # part-major (part, slot, column): the slices below are contiguous
-            xr, xi = x_parts[:, 0][:, cols], x_parts[:, 1][:, cols]
-            p = np.zeros((2, width, len(cols)))
+            xr = x_parts[:, 0][:, cols]
+            xi = None if real else x_parts[:, 1][:, cols]
+            p = np.zeros((1 if real else 2, width, len(cols)))
             for s, ar, ai in self._slots:
                 if s >= width:
                     break
                 w = min(x_width, width - s)
-                p[0, s:s + w] += ar * xr[:w] - ai * xi[:w]
-                p[1, s:s + w] += ar * xi[:w] + ai * xr[:w]
-            mags = np.where(keys[:, None] <= bounds, np.hypot(p[0], p[1]), 0.0)
+                p[0, s:s + w] += ar * xr[:w] if real else ar * xr[:w] - ai * xi[:w]
+                if not real:
+                    p[1, s:s + w] += ar * xi[:w] + ai * xr[:w]
+            mags = np.where(keys[:, None] <= bounds, _abs(p), 0.0)
             maxes = [mags.max(axis=0)]
             p = np.where(mags > np.maximum(EPS_REL * maxes[0], EPS_FLOOR), p, 0.0)
 
             acc = np.zeros((2, width, n))
             acc_bound = np.full(n, INF)
             for rows, block in self._passes:
-                total = acc[:, :, rows] + p[:, :, block]
+                total = acc[:len(p), :, rows] + p[:, :, block]
                 bound = np.minimum(acc_bound[rows], bounds[block])
-                mags = np.hypot(total[0], total[1])
+                mags = _abs(total)
                 maxes.append(mags.max(axis=0))
                 keep = mags > np.maximum(EPS_REL * maxes[-1], EPS_FLOOR)
                 if clip:
                     keep &= keys[:, None] <= bound
-                acc[:, :, rows] = np.where(keep, total, 0.0)
+                acc[:len(p), :, rows] = np.where(keep, total, 0.0)
                 acc_bound[rows] = bound
             # a NaN or an overflow: mul or add raises, or abs does
             if not np.isfinite(np.concatenate(maxes)).all():
@@ -312,9 +325,12 @@ def _accumulated(pairs, width: int):
 
 def _products(a, b, width: int):
     """``mul``'s products ``a[..., c] * b[..., c]`` of split series (``b``
-    may have one column for all) before its cleanup."""
+    may have one column for all) before its cleanup, with the parts
+    ``(re,)`` when both factors are real."""
     ar, ai = a[:width, 0, None], a[:width, 1, None]
     br, bi = b[None, :width, 0], b[None, :width, 1]
+    if not (ai.any() or bi.any()):
+        return _accumulated((ar * br)[:, :, None], width)
     return _accumulated(np.stack((ar * br - ai * bi, ar * bi + ai * br), axis=2), width)
 
 
@@ -481,6 +497,8 @@ def scaled(v, s):
         p, maxes = _cleaned(_products(a, b, width), keys, bounds)
     if not _finite(maxes):
         return _lattice.scaled(v, s)
+    if p.shape[1] == 1:
+        p = np.concatenate((p, np.zeros_like(p)), axis=1)
     # clamp
     return _cut(p, first, g, bounds.min(), len(x))
 

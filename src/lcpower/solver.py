@@ -25,7 +25,9 @@ least ``_lattice_np.MIN_PAIRS`` stored entries, with the same result bits
 as the Python kernel; the iterates then stay numpy vectors from step to
 step and in the trace.  A start vector that loses its dominant component
 gets one restart from the eigenvector the constant-part power iteration
-converged to (see :func:`solve`).
+converged to (see :func:`solve`).  For a real constant-part matrix, mu1
+and that eigenvector are real (:func:`_estimate_dominant`), so the loop
+on a real matrix runs on real coefficients.
 """
 
 from __future__ import annotations
@@ -239,10 +241,10 @@ def estimate_dominant_complex(B, iters: int, tol: float, seed: int = 0
     """Dominant eigenvalue of a complex matrix with a dominance diagnostic.
 
     Runs classical power iteration from a seeded random start and returns
-    (mu1, estimated |mu2| / |mu1|).  Raises when the iteration does not
-    converge, when the matrix is numerically a multiple of the identity
-    (every eigenvalue tied), or when the estimated ratio exceeds the
-    dominance margin.
+    (mu1, estimated |mu2| / |mu1|), mu1 being real when ``B`` is.  Raises
+    when the iteration does not converge, when the matrix is numerically a
+    multiple of the identity (every eigenvalue tied), or when the
+    estimated ratio exceeds the dominance margin.
     """
     mu, ratio, _v = _estimate_dominant(B, iters, tol, seed)
     return mu, ratio
@@ -250,7 +252,13 @@ def estimate_dominant_complex(B, iters: int, tol: float, seed: int = 0
 
 def _estimate_dominant(B, iters: int, tol: float, seed: int):
     """:func:`estimate_dominant_complex`, with the eigenvector the power
-    iteration converged to: (mu1, ratio, vector)."""
+    iteration converged to: (mu1, ratio, vector).
+
+    For a real ``B`` both are real: a strictly dominant eigenvalue of a
+    real matrix is real (its conjugate is an eigenvalue of the same
+    modulus), so ``mu1`` keeps its real part, and the vector is rotated
+    so that its largest component is real and positive, then keeps its
+    real part."""
     B = np.asarray(B, dtype=complex)
     if not B.any():
         raise DegenerateInputError("zero constant-part matrix")
@@ -271,6 +279,11 @@ def _estimate_dominant(B, iters: int, tol: float, seed: int):
         raise DominanceUncertainError(
             f"second eigenvalue too close in modulus (ratio {ratio:.6f})",
             estimate=complex(mu), ratio=ratio)
+    if not B.imag.any():
+        # the complex random start leaves roundoff in the imaginary parts
+        mu = mu.real
+        k = np.argmax(abs(v))
+        v = (v * (abs(v[k]) / v[k])).real
     return complex(mu), float(ratio), v
 
 

@@ -346,12 +346,14 @@ def lattice_numbers(draw, stride, coeffs=coefficients, empty=True):
 
 
 @st.composite
-def matrix_and_vector(draw, max_n=6):
+def matrix_and_vector(draw, max_n=6, coeff_sets=(coefficients, units,
+                                                  st.one_of(coefficients, huge))):
     """A matrix on one key stride in a dense, sparse or companion pattern,
-    and a vector on that stride or on stride 1."""
+    and a vector on that stride or on stride 1, with coefficients from one
+    of ``coeff_sets``."""
     n = draw(st.integers(1, max_n))
     stride = draw(st.sampled_from([1, 2, 3]))
-    coeffs = draw(st.sampled_from([coefficients, units, st.one_of(coefficients, huge)]))
+    coeffs = draw(st.sampled_from(coeff_sets))
     pattern = draw(st.sampled_from(["dense", "sparse", "companion"]))
 
     def entry(i, j):
@@ -492,12 +494,12 @@ def vector_numbers(draw, stride, coeffs):
 
 
 @st.composite
-def vector_op_inputs(draw):
+def vector_op_inputs(draw, coeff_sets=vector_coefficients):
     """``(u, au, s)``: vectors of n = 1-8 entries on a key stride of 1, 2 or
     3 (``au`` on that stride or on 1) and a series ``s`` to scale by."""
     n = draw(st.integers(1, 8))
     stride = draw(st.sampled_from([1, 2, 3]))
-    coeffs = draw(vector_coefficients)
+    coeffs = draw(coeff_sets)
     u = [draw(vector_numbers(stride, coeffs)) for _ in range(n)]
     au_stride = draw(st.sampled_from([stride, 1]))
     au = tuple(draw(vector_numbers(au_stride, coeffs)) for _ in range(n))
@@ -535,6 +537,45 @@ def test_numpy_loop_step(case, trunc, norm_kind):
 
     same(lambda: steps(functools.partial(lk.matvec, M), lk.PYTHON),
          lambda: steps(lnp.MatrixAction(M), lnp.NUMPY))
+
+
+# real coefficients, half of them with the imaginary part -0.0 that
+# conjugate gives
+real_coefficients = st.one_of(reals, st.builds(complex, reals, st.just(-0.0)))
+real_coefficient_sets = (real_coefficients, st.one_of(real_coefficients, huge),
+                         st.one_of(wide, st.builds(complex, wide, st.just(-0.0))))
+
+
+def _rotated(v):
+    """The vector ``v`` with every coefficient times ``0.6 + 0.8i``: complex."""
+    return tuple((tuple((k, c * (0.6 + 0.8j)) for k, c in terms), bound) for terms, bound in v)
+
+
+@SLOW
+@given(matrix_and_vector(coeff_sets=real_coefficient_sets))
+def test_numpy_real_lane_matvec(case):
+    """On a real matrix and a real vector the matrix action forms only the
+    real parts, and still returns exactly what ``_lattice.matvec`` does;
+    a real matrix times a complex vector takes the two-part path."""
+    M, x = case
+    action = lnp.MatrixAction(M)
+    same(lambda: lk.matvec(M, x), lambda: action(x))
+    same(lambda: lk.matvec(M, _rotated(x)), lambda: action(_rotated(x)))
+
+
+@FAST
+@given(vector_op_inputs(coeff_sets=st.sampled_from(real_coefficient_sets)))
+def test_numpy_real_lane_vector_ops(case):
+    """The Rayleigh numerator and the scaling of real series form only the
+    real parts of their products, with the same result as the Python
+    kernel; a complex factor takes the two-part path."""
+    u, au, s = case
+    same(lambda: lk.rayleigh_numerator(u, au), lambda: lnp.rayleigh_numerator(u, au))
+    same(lambda: lk.scaled(u, s), lambda: lnp.scaled(u, s))
+    same(lambda: lk.rayleigh_numerator(u, _rotated(au)),
+         lambda: lnp.rayleigh_numerator(u, _rotated(au)))
+    s_rot = _rotated((s,))[0]
+    same(lambda: lk.scaled(u, s_rot), lambda: lnp.scaled(u, s_rot))
 
 
 def _number(*terms, bound=INF):

@@ -85,6 +85,12 @@ class TestEstimateDominant:
         with pytest.raises(DegenerateInputError):
             estimate_dominant_complex(np.zeros((2, 2)), 100, 1e-12)
 
+    def test_real_matrix_real_estimate(self):
+        # the complex random start leaves no imaginary roundoff in mu1
+        mu, _ratio = estimate_dominant_complex(np.array([[2.0, 1.0], [0.5, -1.0]]), 500, 1e-12)
+        assert mu.imag == 0.0
+        assert abs(mu - (1 + 11 ** 0.5) / 2) < 1e-9
+
 
 class TestPrecondition:
     def cfg(self):
@@ -312,6 +318,35 @@ def test_one_constant_part_power_iteration_per_solve(case, monkeypatch):
     text = "2 + t; 1\n1; 1" if case == "no-restart" else LOST_START[case][1]
     solve(parse_matrix(text), SolverConfig(truncation=F(6), max_iters=600, tol=1e-12))
     assert len(calls) == 1
+
+
+def _imaginary_parts(res):
+    return [res.mu1.imag] + [c.imag for x in (res.eigenvalue, *res.eigenvector)
+                             for _, c in x.terms]
+
+
+@pytest.mark.parametrize("case", ["ones", *sorted(LOST_START)])
+def test_real_input_gives_real_output(case):
+    """A real matrix's strictly dominant eigenpair is real: mu1, the
+    eigenvalue and the eigenvector carry no imaginary roundoff, from the
+    ones start and from the restart vector alike."""
+    real_3x3 = "2 + t; 1 + 0.5*t^(1/2); 0\n1; 1; t\n0.5; 0; -1"
+    text = real_3x3 if case == "ones" else LOST_START[case][1]
+    res, _ = solve(parse_matrix(text), SolverConfig(truncation=F(6), max_iters=600, tol=1e-12))
+    assert res.converged
+    assert set(_imaginary_parts(res)) == {0.0}
+
+
+def test_complex_matrix_with_real_constant_part():
+    """A real constant part gives a real mu1; the complex t-term of the
+    matrix still gives the eigenvalue complex terms.  [[2 + i t, 1],
+    [0.5, -1]]: the t coefficient is i w1 v1 / (w . v) for the constant
+    part's right and left eigenvectors v = (1, mu1 - 2) and
+    w = (1, 2 (mu1 - 2))."""
+    res, _ = solve(parse_matrix("2 + i*t; 1\n0.5; -1"), SolverConfig(truncation=F(4)))
+    mu1 = (1 + 11 ** 0.5) / 2
+    assert res.mu1.imag == 0.0 and abs(res.mu1 - mu1) < 1e-12
+    assert abs(res.eigenvalue[1] - 1j / (1 + 2 * (mu1 - 2) ** 2)) < 1e-9
 
 
 _EXPONENTS = (F(1, 2), F(1), F(3, 2), F(2), F(3))
