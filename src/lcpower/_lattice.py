@@ -118,8 +118,8 @@ def mul(a, b):
     if not ta or not tb:
         return ZERO
     lb = tb[0][0]
-    x = INF if ba == INF else ba + lb
-    y = INF if bb == INF else bb + ta[0][0]
+    x = ba + lb
+    y = bb + ta[0][0]
     bound = x if x <= y else y
     if len(tb) == 1:  # the products land on distinct keys, in order
         acc = {qa + lb: 0j + ca * tb[0][1] for qa, ca in ta if qa + lb <= bound}
@@ -162,7 +162,7 @@ def retruncate(a, bound):
 
 
 def shift(a, s):
-    return tuple((q + s, c) for q, c in a[0]), INF if a[1] == INF else a[1] + s
+    return tuple((q + s, c) for q, c in a[0]), a[1] + s
 
 
 def coefficient(a, k):
@@ -192,8 +192,7 @@ def _split_leading(a):
     """(lam, c, eps) with a = c t^lam (1 + eps)."""
     terms, b = a
     lam, c = terms[0]
-    return lam, c, (tuple((q - lam, cq / c) for q, cq in terms[1:]),
-                    INF if b == INF else b - lam)
+    return lam, c, (tuple((q - lam, cq / c) for q, cq in terms[1:]), b - lam)
 
 
 def _series(eps, kind: str):
@@ -231,7 +230,7 @@ def invert(a):
     if not a[0]:
         raise ZeroDivisionError("inverse of zero")
     lam, c, eps = _split_leading(a)
-    out_bound = INF if a[1] == INF else a[1] - 2 * lam
+    out_bound = a[1] - 2 * lam
     if out_bound < -lam:
         raise PrecisionError("validity window leaves no representable terms for the inverse")
     if not eps[0]:
@@ -259,7 +258,7 @@ def sqrt(a):
     half_lam = _half(lam)
     root_c = math.sqrt(c.real)
     if not eps[0]:
-        return ((half_lam, complex(root_c)),), INF if a[1] == INF else a[1] - half_lam
+        return ((half_lam, complex(root_c)),), a[1] - half_lam
     return shift(mul(_series(eps, "square root"), constant(root_c)), half_lam)
 
 

@@ -29,49 +29,54 @@ Python kernel and change only the layout:
   computed.  A stride finer than the keys need only adds zero slots, whose
   products add ``+0.0`` to a sum that is never ``-0.0``, so vectors of
   different strides meet on the gcd of their strides;
-* a batch of products (one per stored entry ``a_ij x_j``, per part of
-  ``|v_i|^2``, per ``conj(u_i) au_i`` or per entry of ``v s``) is
-  accumulated over the first factors' key slots in ascending order, the
-  order in which ``mul``'s dict receives the contributions to a key, as
-  ``re = ar*br - ai*bi`` and ``im = ar*bi + ai*br`` in separate ufunc calls
-  (no complex128 arithmetic, whose ``*`` differs from CPython's, and no
-  reduction that reorders or fuses a sum).  The accumulators start at
-  ``+0.0``, which is ``mul``'s ``0j + p``; they never become ``-0.0``, so a
-  zero-padded slot adds nothing.  Keys above each product's bound are
-  masked before ``mul``'s cleanup;
-* the sums are ``add``'s chain in Python's order: the merge, the running
-  minimum of the bounds, the cleanup relative to the largest magnitude of
-  all merged keys, and the bound filter.  No term of a product or a sum
-  carries a ``-0.0`` part, so an absent term is held as ``+0.0`` and
-  adding it leaves the other term unchanged.  One ``np.add.accumulate``
-  from ``+0.0`` (``ZERO``) over the products makes the chain's float
-  additions one by one in its order: an accumulate, unlike a reduction,
-  never regroups.  Until an ``add`` clears a nonzero term, by the cleanup
-  or the bound filter, the chain only adds, so the running sums are its
-  sums exactly, and so are the maxes and bounds taken from them; from the
-  first such ``add`` on the adds run one at a time (:func:`_chain`).  On
-  the loop's inputs most chains clear nothing; the rest clear at almost
-  every ``add`` after the first, when the sum's higher keys have cancelled
-  to roundoff.  The matrix action's row sums run one pass per t-th stored
-  entry of every row, vectorized over the rows.
+* the matrix action, :func:`sum_abs_squares`, :func:`rayleigh_numerator`
+  and :func:`scaled` lay out their two factors in columns, one column per
+  product (``a_ij x_j``, a part of ``|v_i|^2``, ``conj(u_i) au_i`` or an
+  entry of ``v s``), take each product's bound from :func:`_mul_bounds`,
+  and hand the batch to one function, :func:`_batch`.  It forms ``mul``'s
+  products (:func:`_products`) over the key slots of one factor (the
+  occupied ones of the matrix), in the order in which ``mul``'s dict
+  receives the contributions to a key, as ``re = ar*br - ai*bi`` and
+  ``im = ar*bi + ai*br`` in separate ufunc calls (no complex128
+  arithmetic, whose ``*`` differs from CPython's, and no reduction that
+  reorders or fuses a sum).  The
+  accumulators start at ``+0.0``, which is ``mul``'s ``0j + p``; they never
+  become ``-0.0``, so a zero-padded slot adds nothing.  It then applies
+  ``mul``'s cleanup to the keys up to each product's bound, and either
+  clamps the products (the scaling) or sums them in rows (:func:`_chain`);
+* the sums are ``add``'s chain in Python's order, in each row: the merge,
+  the running minimum of the bounds, the cleanup relative to the largest
+  magnitude of all merged keys, and the bound filter.  Add ``t`` of a
+  matrix action's row is the row's ``t``-th stored entry; each of the two
+  vector sums is one row.  No term of a product or a sum carries a
+  ``-0.0`` part, so an absent term is held as ``+0.0`` and adding it leaves
+  the other term unchanged.  One ``np.add.accumulate`` over the adds makes
+  the chains' float additions one by one in their order: an accumulate,
+  unlike a reduction, never regroups.  Until an ``add`` of some row clears
+  a nonzero term, by the cleanup or the bound filter, every chain only
+  adds, so the running sums are their sums exactly, and so are the maxes
+  and bounds taken from them; from the first such ``add`` on, the adds run
+  one at a time, vectorized over the rows.  On the loop's inputs most
+  chains clear nothing; the rest clear at almost every ``add`` after the
+  first, when the sum's higher keys have cancelled to roundoff, and when a
+  matrix row clears, often all of them do.
 
 An empty factor makes a product an exact zero, which ``_add_product``
-skips together with its bound; the sums of products skip it too, the
-scaling gives it an infinite bound, which the clamp ignores, and the
-matrix action gives it an infinite bound, so that adding it repeats the
-cleanup idempotently.  The parts of ``|v_i|^2`` are real series, whose
-products keep an imaginary part of exactly ``+0.0``, so
-:func:`sum_abs_squares` runs on real arrays and ``np.abs``.  The matrix
-action and the products of :func:`rayleigh_numerator` and :func:`scaled`
-do the same, with the parts ``(re,)``, when both factors' imaginary arrays
-are all zero (``+0.0`` or ``-0.0``, as ``conjugate`` makes them): the
-dropped ``ai*bi`` and imaginary parts are ``±0.0``, which leave a nonzero
-sum unchanged and a ``+0.0`` accumulator at ``+0.0``, and ``hypot(re,
-±0.0)`` is ``abs(re)``; :func:`scaled` pads its imaginary part with
-``+0.0``.  Inputs that
-do not fit a layout (no terms, a matrix action's ``x`` off the matrix's
-stride) and arithmetic that meets a non-finite value are handed to the
-Python kernel, which then gives the result or raises.
+skips together with its bound.  :func:`_batch` gives it an infinite bound
+instead: the clamp ignores that bound, and adding the zero product only
+repeats the chain's cleanup, which is idempotent.  So a matrix action's
+shorter rows are padded to the longest with such products.  The parts of
+``|v_i|^2`` are real series, whose products keep an imaginary part of
+exactly ``+0.0``, so :func:`sum_abs_squares` runs on real arrays and
+``np.abs``.  :func:`_batch` does the same, with the parts ``(re,)``, whenever
+both factors' imaginary arrays are all zero (``+0.0`` or ``-0.0``, as
+``conjugate`` makes them): the dropped ``ai*bi`` and imaginary parts are
+``±0.0``, which leave a nonzero sum unchanged and a ``+0.0`` accumulator at
+``+0.0``, and ``hypot(re, ±0.0)`` is ``abs(re)``; the result's imaginary
+part is padded with ``+0.0``.  Inputs that do not fit a layout (no terms,
+a matrix action's ``x`` off the matrix's stride) and arithmetic that meets
+a non-finite value are handed to the Python kernel, which then gives the
+result or raises.
 
 :func:`kernel` chooses between the two kernels, once per solve, by the
 number of stored entries of the matrix: numpy's fixed cost per call
@@ -81,13 +86,14 @@ outweighs the Python loops on small matrices.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cached_property, partial
 from itertools import chain
 
 import numpy as np
 
 from . import _lattice
-from ._lattice import EPS_FLOOR, EPS_REL, INF
+from ._lattice import EPS_FLOOR, EPS_REL, INF, ZERO
 from .errors import DegenerateInputError
 
 #: Matrices with at least this many stored (nonempty) entries take the numpy
@@ -201,183 +207,169 @@ def _cut(parts, base: int, g: int, bound, n: int) -> Vector:
 
 
 class MatrixAction:
-    """``_lattice.matvec(M, x)`` on numpy, with the layout of ``M`` fixed."""
+    """``_lattice.matvec(M, x)`` on numpy, with the layout of ``M`` fixed:
+    column ``t * n + i`` holds row ``i``'s ``t``-th stored entry, or an
+    empty pad where the row has fewer."""
 
     def __init__(self, M):
         self._M = M
-        self._n = n = len(M)
+        self._n = len(M)
         stored = [[(j, a) for j, a in enumerate(row) if a[0]] for row in M]
-        # the stored entries in (t, row) order for the t-th entry of a row:
-        # each row-sum pass then reads one contiguous block of products
-        self._passes, cols, entries = [], [], []
-        for t in range(max(map(len, stored), default=0)):
-            rows = [i for i, row in enumerate(stored) if len(row) > t]
-            block = slice(len(entries), len(entries) + len(rows))
-            for i in rows:
-                j, a = stored[i][t]
-                cols.append(j)
-                entries.append(a)
-            self._passes.append((slice(None) if len(rows) == n else np.array(rows), block))
-        self._cols = np.array(cols, dtype=np.intp)
-        a = _layout(entries)
-        self._base, self._g, self._width = a.base, a.g, len(a.parts)
-        # key slots by entries: every ufunc below runs along the entries
-        self._slots = [(s, *a.parts[s]) for s in np.flatnonzero(a.present.any(axis=1)).tolist()]
-        self._a_val, self._a_bound = a.valuations[1], a.bounds
-        self._real = not a.parts[:, 1].any()
+        grid = [row[t] if t < len(row) else (0, ZERO)
+                for t in range(max(map(len, stored), default=0)) for row in stored]
+        self._cols = np.array([j for j, _ in grid], dtype=np.intp)
+        a = _layout([e for _, e in grid])
+        self._base, self._g = a.base, a.g
+        # the occupied key slots, the only ones the products iterate
+        self._slots = np.flatnonzero(a.present.any(axis=1)).tolist()
+        self._parts = a.parts[self._slots]
+        (self._nonempty, self._val), self._bounds = a.valuations, a.bounds
 
     def __call__(self, x):
-        n, g = self._n, self._g
+        n, g, cols = self._n, self._g, self._cols
         if len(x) != n:
             raise DegenerateInputError(f"dimension mismatch: {n}x{n} vs {len(x)}")
-        if not self._passes:
-            return _lattice.matvec(self._M, x)
         x = _laid(x)
         nonempty, x_val = x.valuations
-        if not nonempty.any() or (len(x.parts) > 1 and x.g % g):
+        if not len(cols) or not nonempty.any() or (len(x.parts) > 1 and x.g % g):
             return _lattice.matvec(self._M, x)
-        x_parts = _strided(x, g)
-        x_width = len(x_parts)
-
-        cols = self._cols
-        # mul's bound min(T_a + val(x_j), T_x + val(a)); an empty x_j makes
-        # the product an exact zero
-        bounds = np.minimum(self._a_bound + x_val[cols], x.bounds[cols] + self._a_val)
-        bounds[~nonempty[cols]] = INF
-        first = self._base + x.base
-        # no product keeps a term above the largest bound
-        width = _width(self._width + x_width - 1, bounds, first, g)
-        keys = first + g * np.arange(width)
-        # a row sum drops keys above its bound only if some bound is that low
-        clip = bounds.min() < keys[-1]
-        # on real factors only the real parts are formed (see the module
-        # docstring: the imaginary ones are +0.0 in the end)
-        real = self._real and not x_parts[:, 1].any()
-        with np.errstate(over="ignore", invalid="ignore"):
-            # part-major (part, slot, column): the slices below are contiguous
-            xr = x_parts[:, 0][:, cols]
-            xi = None if real else x_parts[:, 1][:, cols]
-            p = np.zeros((1 if real else 2, width, len(cols)))
-            for s, ar, ai in self._slots:
-                if s >= width:
-                    break
-                w = min(x_width, width - s)
-                p[0, s:s + w] += ar * xr[:w] if real else ar * xr[:w] - ai * xi[:w]
-                if not real:
-                    p[1, s:s + w] += ar * xi[:w] + ai * xr[:w]
-            mags = np.where(keys[:, None] <= bounds, _abs(p), 0.0)
-            maxes = [mags.max(axis=0)]
-            p = np.where(mags > np.maximum(EPS_REL * maxes[0], EPS_FLOOR), p, 0.0)
-
-            acc = np.zeros((2, width, n))
-            acc_bound = np.full(n, INF)
-            for rows, block in self._passes:
-                total = acc[:len(p), :, rows] + p[:, :, block]
-                bound = np.minimum(acc_bound[rows], bounds[block])
-                mags = _abs(total)
-                maxes.append(mags.max(axis=0))
-                keep = mags > np.maximum(EPS_REL * maxes[-1], EPS_FLOOR)
-                if clip:
-                    keep &= keys[:, None] <= bound
-                acc[:len(p), :, rows] = np.where(keep, total, 0.0)
-                acc_bound[rows] = bound
-            # a NaN or an overflow: mul or add raises, or abs does
-            if not np.isfinite(np.concatenate(maxes)).all():
-                return _lattice.matvec(self._M, x)
-        # clamp
-        return _cut(acc.transpose(1, 0, 2), first, g, acc_bound.min(), n)
+        live = self._nonempty & nonempty[cols]
+        bounds = _mul_bounds(self._bounds, self._val, x.bounds[cols], x_val[cols], live)
+        return _batch(self._parts, _strided(x, g)[:, :, cols], bounds, self._base + x.base, g,
+                      lambda: _lattice.matvec(self._M, x), rows=n, live=live,
+                      slots=self._slots)
 
 
-# -- the vector operations ------------------------------------------------------------
+# -- the sums of products ------------------------------------------------------------
 #
-# Product and sum arrays are key-major: ``(slot, part, column)``, the parts
-# being (re, im) or, for real series, (re,) alone.
+# Product arrays are ``(slot, part, column)`` and the chains' arrays
+# ``(slot, part, add, row)``, the parts being (re, im) or, for real
+# series, (re,) alone.
 
 
-def _width(width: int, bounds, first: int, g: int) -> int:
-    """``width`` product slots from key ``first``, cut above the largest bound."""
-    top = bounds.max()
-    return width if top == INF else max(1, min(width, (int(top) - first) // g + 1))
+def _abs(p):
+    """The magnitudes of the terms of ``p``, whose axis 1 holds the parts
+    ``(re,)`` or ``(re, im)`` (``abs`` of a complex is ``hypot``)."""
+    return np.abs(p[:, 0]) if p.shape[1] == 1 else np.hypot(p[:, 0], p[:, 1])
 
 
-def _abs(parts):
-    """The magnitudes of the terms with the parts ``(re,)`` or ``(re, im)``
-    (``abs`` of a complex is ``hypot``)."""
-    return np.abs(parts[0]) if len(parts) == 1 else np.hypot(parts[0], parts[1])
+def _mul_bounds(a_bound, a_val, b_bound, b_val, live=True):
+    """``mul``'s bound ``min(T_a + val(b), T_b + val(a))`` of each product;
+    where a factor is empty (not ``live``) the product is an exact zero,
+    of bound ``INF``."""
+    return np.where(live, np.minimum(a_bound + b_val, b_bound + a_val), INF)
 
 
-def _accumulated(pairs, width: int):
-    """``mul``'s sums per key of the products ``pairs[i, j]`` of the slot
-    pairs (key slot ``i + j``), over the first factor's slots ``i`` in
-    ascending order, into ``+0.0`` accumulators.  A pass per slot ``j`` of
-    the second factor in descending order adds the same products to each
-    key in the same order, and takes fewer passes when that factor has
-    fewer slots."""
-    p = np.zeros((width,) + pairs.shape[2:])
-    if pairs.shape[0] <= pairs.shape[1]:
-        for i in range(pairs.shape[0]):
-            p[i:i + pairs.shape[1]] += pairs[i, :width - i]
+def _width(width: int, bounds, live, first: int, g: int) -> int:
+    """``width`` product slots from key ``first``, cut above the largest
+    bound of a product that is not an exact zero."""
+    top = bounds.max(where=live, initial=first)
+    return width if top == INF else min(width, (int(top) - first) // g + 1)
+
+
+def _products(a, b, width: int, slots=None):
+    """``mul``'s sums per key slot of the products ``a[:, :, c] * b[:, :, c]``
+    (``b`` may have one column for all; both have the same parts), before
+    its cleanup, with the parts ``(re,)`` when both factors are real.  The
+    contributions to a key come in ascending order of ``a``'s slots, as
+    ``mul``'s dict receives them: one pass per slot ``slots`` of ``a``
+    (whose rows are those slots), or, by default, per slot of ``a``
+    ascending or of ``b`` descending, whichever has fewer."""
+    b = b[:width]
+    if slots is None:
+        a = a[:width]
+        slots = range(len(a))
+        if len(a) > len(b):
+            a, b, slots = b[::-1], a, range(len(b) - 1, -1, -1)
     else:
-        for j in reversed(range(pairs.shape[1])):
-            p[j:j + pairs.shape[0]] += pairs[:width - j, j]
+        k = bisect_left(slots, width)
+        a, slots = a[:k], slots[:k]
+    ar, br = a[:, None, 0], b[None, :, 0]
+    if a.shape[1] == 2 and (a[:, 1].any() or b[:, 1].any()):
+        ai, bi = a[:, None, 1], b[None, :, 1]
+        pairs = np.stack((ar * br - ai * bi, ar * bi + ai * br), axis=2)
+    else:
+        pairs = (ar * br)[:, :, None]
+    p = np.zeros((width,) + pairs.shape[2:])
+    for s, pair in zip(slots, pairs):
+        p[s:s + len(pair)] += pair[:width - s]
     return p
 
 
-def _products(a, b, width: int):
-    """``mul``'s products ``a[..., c] * b[..., c]`` of split series (``b``
-    may have one column for all) before its cleanup, with the parts
-    ``(re,)`` when both factors are real."""
-    ar, ai = a[:width, 0, None], a[:width, 1, None]
-    br, bi = b[None, :width, 0], b[None, :width, 1]
-    if not (ai.any() or bi.any()):
-        return _accumulated((ar * br)[:, :, None], width)
-    return _accumulated(np.stack((ar * br - ai * bi, ar * bi + ai * br), axis=2), width)
-
-
-def _cleaned(p, keys, bounds):
-    """``mul``'s cleanup of the product in each column of ``p``: keys above
-    the column's bound masked, then terms at or below ``max(EPS_REL max,
-    EPS_FLOOR)`` cleared.  Returns ``(p, maxes)``."""
-    mags = np.where(keys[:, None] <= bounds, _abs(p.transpose(1, 0, 2)), 0.0)
-    maxes = mags.max(axis=0)
-    keep = mags > np.maximum(EPS_REL * maxes, EPS_FLOOR)
-    return np.where(keep[:, None], p, 0.0), maxes
-
-
 def _chain(p, bounds, keys):
-    """``add``'s chain over the finite products in the columns of ``p``, in
-    order, from ``ZERO``: ``(sum as (part, slot), bound, maxes)``.
+    """``add``'s chain over the finite products ``p[:, :, t, i]`` in the
+    order of ``t``, from ``ZERO``, in every row ``i``, the products being
+    bounded at ``bounds[t, i]``: ``(sums, bounds, maxes)`` by row, the sums
+    as ``(slot, part, row)`` and ``maxes[t][i]`` the max of add ``t``.
 
-    The running sums of ``np.add.accumulate`` from ``+0.0`` are the chain's
-    sums before each ``add``'s cleanup up to its first ``add`` that clears
-    a nonzero term, by the cleanup or the bound filter; from that ``add``
-    on the adds run one at a time."""
-    terms = p.transpose(2, 1, 0)  # (add, part, slot)
-    sums = np.add.accumulate(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)))[1:]
-    mags = _abs(sums.transpose(1, 0, 2))
-    maxes = mags.max(axis=1)
+    The running sums of ``np.add.accumulate`` are the chains' sums before
+    each ``add``'s cleanup up to the first ``add`` that clears a nonzero
+    term in any row, by the cleanup or the bound filter; from that ``add``
+    on the adds run one at a time, vectorized over the rows."""
+    sums = np.add.accumulate(p, axis=2)
+    mags = _abs(sums)  # (slot, add, row)
+    maxes = mags.max(axis=0)
     running = np.minimum.accumulate(bounds)
-    drop = mags <= np.maximum(EPS_REL * maxes, EPS_FLOOR)[:, None]
-    drop |= keys > running[:, None]
-    clears = np.flatnonzero((drop & (mags != 0.0)).any(axis=1))
-    c = clears[0] if len(clears) else len(terms) - 1
-    acc = np.where(drop[c], 0.0, sums[c])
-    bound = float(running[c])
+    clip = running[-1].min() < keys[-1]  # some bound drops a key
+    drop = mags <= np.maximum(EPS_REL * maxes, EPS_FLOOR)
+    if clip:
+        drop |= keys[:, None, None] > running
+    clears = np.flatnonzero((drop & (mags != 0.0)).any(axis=(0, 2)))
+    adds, one = p.shape[2], p.shape[3] == 1
+    c = int(clears[0]) if len(clears) else adds - 1
+    acc = np.where(drop[:, None, c], 0.0, sums[:, :, c])
+    acc += 0.0  # the chain starts at +0.0: a sum of -0.0 terms is +0.0
     maxes = maxes[:c + 1].tolist()
-    above = keys > bound if bound < keys[-1] else None
-    for row, b in zip(terms[c + 1:], bounds[c + 1:].tolist()):
-        acc = acc + row
-        if b < bound:
-            bound = b
-            above = keys > b if b < keys[-1] else None
+    for t in range(c + 1, adds):
+        acc += p[:, :, t]
         mags = _abs(acc)
-        m = max(mags.tolist())
-        maxes.append(m)
-        drop = mags <= max(EPS_REL * m, EPS_FLOOR)
-        if above is not None:
-            drop |= above
-        np.copyto(acc, 0.0, where=drop)
-    return acc, bound, maxes
+        if one:  # Python floats are cheaper on one row
+            m = max(mags.ravel().tolist())
+            maxes.append([m])
+            drop = mags <= max(EPS_REL * m, EPS_FLOOR)
+        else:
+            m = mags.max(axis=0)
+            maxes.append(m.tolist())
+            drop = mags <= np.maximum(EPS_REL * m, EPS_FLOOR)
+        if clip:
+            drop |= keys[:, None] > running[t]
+        np.copyto(acc, 0.0, where=drop[:, None])
+    return acc, running[-1], maxes
+
+
+def _batch(a, b, bounds, first: int, g: int, twin, rows: int = 0, number=False, live=True,
+           slots=None):
+    """``mul``'s products of the columns of ``a`` and ``b`` on the keys
+    ``first + g*slot`` (see :func:`_products`), bounded at ``bounds`` and
+    zero where not ``live``, then cleaned up.  With ``rows``, column
+    ``t * rows + i`` is add ``t`` of row ``i``'s chain of ``add``.  Returns
+    the clamped :class:`Vector` of the products, or of the rows' sums, or
+    with ``number`` the one row's sum as a number; or ``twin()`` once a
+    value is non-finite."""
+    n_a = slots[-1] + 1 if slots is not None else len(a)
+    width = _width(n_a + len(b) - 1, bounds, live, first, g)
+    keys = first + g * np.arange(width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _products(a, b, width, slots)
+        mags = np.where(keys[:, None] <= bounds, _abs(p), 0.0)
+        maxes = mags.max(axis=0)
+        # a NaN or an overflow: mul or add raises, or abs does
+        if not _finite(maxes):
+            return twin()
+        p = np.where((mags > np.maximum(EPS_REL * maxes, EPS_FLOOR))[:, None], p, 0.0)
+        if rows:
+            p, bounds, maxes = _chain(p.reshape(width, p.shape[1], -1, rows),
+                                      bounds.reshape(-1, rows), keys)
+            if not _finite(maxes):
+                return twin()
+    if number:
+        nz = np.flatnonzero(_abs(p))
+        return tuple(zip(keys[nz].tolist(), map(complex, *p[nz, :, 0].T.tolist()))), \
+            _bound(float(bounds[0]))
+    if p.shape[1] == 1:
+        p = np.concatenate((p, np.zeros_like(p)), axis=1)
+    # clamp
+    return _cut(p, first, g, bounds.min(), p.shape[2])
 
 
 def _finite(maxes) -> bool:
@@ -398,25 +390,6 @@ def _rows(keys, re, im, present):
         out.append(tuple(terms[start:end]))
         start = end
     return out
-
-
-def _terms(keys, parts):
-    """The nonzero terms of one sum, ``parts`` being ``(re,)`` or ``(re, im)``
-    by slot."""
-    nz = np.flatnonzero(_abs(parts))
-    return tuple(zip(keys[nz].tolist(), map(complex, *(x[nz].tolist() for x in parts))))
-
-
-def _sum(p, maxes, bounds, keys, fallback):
-    """The chain over the cleaned products ``p`` as one number, or
-    ``fallback()`` once a max is non-finite."""
-    if not _finite(maxes):
-        return fallback()
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc, bound, sums = _chain(p, bounds, keys)
-    if not _finite(sums):
-        return fallback()
-    return _terms(keys, acc), _bound(bound)
 
 
 def truncated(y, bound):
@@ -442,17 +415,11 @@ def sum_abs_squares(v):
     nonempty = present.any(axis=0)
     if not nonempty.any():
         return _lattice._sum_abs_squares(v)
-    parts = parts[:, nonempty]
+    parts = parts[:, None, nonempty]  # real: one part
     vals = x.base + x.g * present[:, nonempty].argmax(axis=0)
-    bounds = np.repeat(x.bounds, 2)[nonempty] + vals
-    first = 2 * x.base
-    width = _width(2 * len(parts) - 1, bounds, first, x.g)
-    keys = first + x.g * np.arange(width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the parts are real: their products keep an imaginary part of +0.0
-        pairs = parts[:width, None, None] * parts[None, :width, None]
-        p, maxes = _cleaned(_accumulated(pairs, width), keys, bounds)
-    return _sum(p, maxes, bounds, keys, lambda: _lattice._sum_abs_squares(v))
+    bounds = np.repeat(x.bounds, 2)[nonempty]
+    return _batch(parts, parts, _mul_bounds(bounds, vals, bounds, vals), 2 * x.base, x.g,
+                  lambda: _lattice._sum_abs_squares(v), rows=1, number=True)
 
 
 def rayleigh_numerator(u, au):
@@ -467,40 +434,23 @@ def rayleigh_numerator(u, au):
     g = _stride(x, y)
     a, b = _strided(x, g)[:, :, pairs], _strided(y, g)[:, :, pairs]
     a[:, 1] = -a[:, 1]
-    # mul's bound min(T_u + val(au_i), T_au + val(u_i))
-    bounds = np.minimum(x.bounds[pairs] + y_val[pairs], y.bounds[pairs] + x_val[pairs])
-    first = x.base + y.base
-    width = _width(len(a) + len(b) - 1, bounds, first, g)
-    keys = first + g * np.arange(width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p, maxes = _cleaned(_products(a, b, width), keys, bounds)
-    return _sum(p, maxes, bounds, keys, lambda: _lattice.rayleigh_numerator(u, au))
+    bounds = _mul_bounds(x.bounds[pairs], x_val[pairs], y.bounds[pairs], y_val[pairs])
+    return _batch(a, b, bounds, x.base + y.base, g,
+                  lambda: _lattice.rayleigh_numerator(u, au), rows=1, number=True)
 
 
 def scaled(v, s):
     """:func:`lcpower._lattice.scaled` on numpy: one column per entry of
-    ``v``, each times ``s``, then ``clamp``.  An empty entry's product is
-    ``ZERO``, whose bound does not lower the clamp's."""
+    ``v``, each times ``s``, then ``clamp``."""
     x = _laid(v)
     nonempty, x_val = x.valuations
     if not s[0] or not nonempty.any():
         return _lattice.scaled(v, s)
     y = _layout((s,))
     g = _stride(x, y)
-    a, b = _strided(x, g), _strided(y, g)
-    # mul's bound min(T_e + val(s), T_s + val(e))
-    bounds = np.where(nonempty, np.minimum(x.bounds + s[0][0][0], float(s[1]) + x_val), INF)
-    first = x.base + y.base
-    width = _width(len(a) + len(b) - 1, bounds[nonempty], first, g)
-    keys = first + g * np.arange(width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p, maxes = _cleaned(_products(a, b, width), keys, bounds)
-    if not _finite(maxes):
-        return _lattice.scaled(v, s)
-    if p.shape[1] == 1:
-        p = np.concatenate((p, np.zeros_like(p)), axis=1)
-    # clamp
-    return _cut(p, first, g, bounds.min(), len(x))
+    bounds = _mul_bounds(x.bounds, x_val, float(s[1]), float(s[0][0][0]), nonempty)
+    return _batch(_strided(x, g), _strided(y, g), bounds, x.base + y.base, g,
+                  lambda: _lattice.scaled(v, s), live=nonempty)
 
 
 def constants(v):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .core import LCNumber
+from .core import INF, LCNumber
 from .errors import DominanceUncertainError, LCError, ParseError
 from .linalg import all_eigenvalues_at_most_finite, gershgorin_disks
 from .solver import EigenResult, IterationTrace, SolverConfig, poly_dominant_root, solve
@@ -185,8 +185,9 @@ def cmd_gershgorin(input_path: Path) -> int:
     disks = gershgorin_disks(parse_matrix(input_path.read_text()))
     lines = []
     for i, d in enumerate(disks):
+        valid = "" if d.radius.valid_to == INF else f" (valid to exponent {d.radius.valid_to})"
         lines.append(f"disk {i}: center = {serialize_series(d.center)}; "
-                     f"radius = {serialize_series(d.radius)}")
+                     f"radius = {serialize_series(d.radius)}{valid}")
     verdict = all_eigenvalues_at_most_finite(disks)
     lines.append(f"all eigenvalues at most finite: {'yes' if verdict else 'no'}")
     _write(None, "\n".join(lines) + "\n")

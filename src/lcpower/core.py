@@ -87,16 +87,6 @@ def as_bound(b: BoundLike):
     return as_exponent(b)
 
 
-def _bmin(x, y):
-    return x if x <= y else y
-
-
-def _badd(x, y):
-    if x == INF or y == INF:
-        return INF
-    return x + y
-
-
 @dataclass(frozen=True)
 class LCNumber:
     """A truncated Levi-Civita number.
@@ -404,7 +394,7 @@ def eq_up_to(a: LCNumber, b: LCNumber, r: ExponentLike, tol: float) -> bool:
     cleanup would hide a disagreement far below the largest coefficient.
     """
     r = as_exponent(r)
-    bound = _bmin(a.valid_to, b.valid_to)
+    bound = min(a.valid_to, b.valid_to)
     if r > bound:
         raise WindowExceededError(
             f"comparison window {r} exceeds shared validity bound {bound}")
@@ -419,12 +409,12 @@ def shift_exponents(a: LCNumber, shift: ExponentLike) -> LCNumber:
     """Multiply by the exact monomial t^shift: every exponent and the bound move."""
     shift = as_exponent(shift)
     return LCNumber(tuple((q + shift, c) for q, c in a.terms),
-                    _badd(a.valid_to, shift))
+                    a.valid_to + shift)
 
 
 def truncated(a: LCNumber, bound: BoundLike) -> LCNumber:
     """Restrict to exponents <= bound; the validity bound only tightens."""
-    bound = _bmin(a.valid_to, as_bound(bound))
+    bound = min(a.valid_to, as_bound(bound))
     return LCNumber(tuple((q, c) for q, c in a.terms if q <= bound), bound)
 
 

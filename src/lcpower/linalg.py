@@ -56,7 +56,7 @@ class LCVector:
             raise DegenerateInputError("empty vector")
         bound = entries[0].valid_to
         for e in entries[1:]:
-            bound = core._bmin(bound, e.valid_to)
+            bound = min(bound, e.valid_to)
         self.entries = tuple(core.truncated(e, bound) for e in entries)
         self.bound = bound
 
@@ -219,12 +219,20 @@ def rayleigh_quotient(A: LCMatrix, u: LCVector) -> LCNumber:
 
 
 def gershgorin_disks(A: LCMatrix) -> List[Disk]:
-    """One disk per row: center a_ii, radius = sum of |a_ik|, k != i."""
+    """One disk per row: center a_ii, radius = sum of |a_ik|, k != i.
+
+    The modulus of an exact complex entry with two or more terms is an
+    infinite series (``|1 + i t| = 1 + t^2/2 - ...``).  It is taken on the
+    window up to the largest exponent stored in ``A``, and the radius is
+    valid to that window."""
+    window = max((q for row in A.rows for e in row for q, _ in e.terms), default=0)
     disks = []
     for i, row in enumerate(A.rows):
         radius = core.zero()
         for k, e in enumerate(row):
             if k != i:
+                if e.valid_to == core.INF and len(e.terms) > 1 and not core.is_real(e):
+                    e = core.truncated(e, window)
                 radius = radius + core.magnitude(e)
         disks.append(Disk(center=row[i], radius=radius))
     return disks

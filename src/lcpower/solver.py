@@ -33,6 +33,7 @@ on a real matrix runs on real coefficients.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -94,8 +95,9 @@ class SolverConfig:
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         for name in ("max_iters", "complex_pi_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.norm_kind not in ("l2", "max"):
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
         self._seed = 0
@@ -482,6 +484,6 @@ def poly_dominant_root(P: Polynomial, cfg: SolverConfig
     coefficients span dozens of orders of magnitude)."""
     result, trace = solve(companion_matrix(P), cfg)
     value = poly_eval(P, result.eigenvalue)
-    rwin = core._bmin(cfg.window, value.valid_to)
+    rwin = min(cfg.window, value.valid_to)
     pres = core.semi_norm(value, rwin) / _poly_eval_scale(P, result.eigenvalue)
     return dataclasses.replace(result, poly_residual=pres), trace

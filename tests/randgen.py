@@ -70,7 +70,7 @@ def noise_cleaned_diff(a, b) -> LCNumber:
     """
     eps = 1e-12 * _scale(a, b)
     raw = list(a.terms) + [(q, -c) for q, c in b.terms]
-    return from_terms(raw, core._bmin(a.valid_to, b.valid_to), eps_zero=eps)
+    return from_terms(raw, min(a.valid_to, b.valid_to), eps_zero=eps)
 
 
 # -- law suites (each returns the number of cases exercised) -------------------
@@ -79,7 +79,7 @@ def noise_cleaned_diff(a, b) -> LCNumber:
 def _agree(lhs, rhs):
     # tolerance: 1e-10 relative to the largest coefficient magnitude
     tol = 1e-10 * max(1.0, _scale(lhs, rhs))
-    return eq_up_to(lhs, rhs, core._bmin(lhs.valid_to, rhs.valid_to), tol)
+    return eq_up_to(lhs, rhs, min(lhs.valid_to, rhs.valid_to), tol)
 
 
 def check_ring_laws(rng, cases) -> int:

@@ -35,7 +35,7 @@ def _bsub(x, y):
 
 
 def add(a, b):
-    bound = core._bmin(a.valid_to, b.valid_to)
+    bound = min(a.valid_to, b.valid_to)
     ta, tb = a.terms, b.terms
     # two-pointer merge of the sorted term lists
     merged = []
@@ -122,7 +122,7 @@ def semi_norm(a, r):
 
 def eq_up_to(a, b, r, tol):
     r = as_exponent(r)
-    bound = core._bmin(a.valid_to, b.valid_to)
+    bound = min(a.valid_to, b.valid_to)
     if r > bound:
         raise WindowExceededError(
             f"comparison window {r} exceeds shared validity bound {bound}")
@@ -135,7 +135,7 @@ def mul(a, b):
         return LCNumber((), INF)
     la = a.terms[0][0]
     lb = b.terms[0][0]
-    bound = core._bmin(core._badd(a.valid_to, lb), core._badd(b.valid_to, la))
+    bound = min(a.valid_to + lb, b.valid_to + la)
     # convolve on a common integer exponent grid
     grid = 1
     for q, _ in a.terms + b.terms:
@@ -375,7 +375,7 @@ def residual(A, v, nu, window):
     diffs = [sub(a_i, b_i) for a_i, b_i in zip(matvec(A, v).entries, scaled(v, nu).entries)]
     rwin = window
     for d in diffs:
-        rwin = core._bmin(rwin, d.valid_to)
+        rwin = min(rwin, d.valid_to)
     return max((semi_norm(d, rwin) for d in diffs), default=0.0), rwin
 
 

@@ -148,7 +148,7 @@ def test_criterion_5_gershgorin():
         def contained(nu, disks, bound):
             for d in disks:
                 dist = magnitude(noise_cleaned_diff(nu, d.center))
-                window = core._bmin(bound, core._bmin(dist.valid_to, d.radius.valid_to))
+                window = min(bound, dist.valid_to, d.radius.valid_to)
                 if compare(truncated(dist, window), truncated(d.radius, window)) <= 0:
                     return True
             return False

@@ -179,6 +179,17 @@ class TestGershgorin:
         assert "radius = 1.0*t^1" in out
         assert "all eigenvalues at most finite: yes" in out
 
+    def test_complex_offdiagonal(self, tmp_path, capsys):
+        # |1 + i t| = 1 + t^2/2 - ... has infinite support: it is taken up
+        # to the largest exponent of the matrix, and the radius says so
+        m = tmp_path / "m.txt"
+        m.write_text("2 + t; 1 + i*t\n1; 1\n")
+        assert run_cli(["gershgorin", m]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "disk 0: center = 2.0 + 1.0*t^1; radius = 1.0 (valid to exponent 1)" in out
+        assert "disk 1: center = 1.0; radius = 1.0\n" in out
+        assert "all eigenvalues at most finite: yes" in out
+
     def test_infinitely_large(self, tmp_path, capsys):
         m = tmp_path / "m.txt"
         m.write_text("1*t^(-1); 0\n0; 1\n")

@@ -20,7 +20,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcpower import _lattice as lk
@@ -376,6 +376,10 @@ def test_numpy_matvec(case):
     same(lambda: lk.matvec(M, x[1:]), lambda: action(x[1:]))
 
 
+def _number(*terms, bound=INF):
+    return tuple((k, complex(c)) for k, c in terms), bound
+
+
 def _filled(n, entry):
     return tuple(tuple(entry for _ in range(n)) for _ in range(n))
 
@@ -398,6 +402,11 @@ ACTION_CASES = {
     # bound 0, so it must not set the third add's: t^-1 stays
     "bound-filter-each-add": (((lk.ONE, (((1, 1e20 + 0j),), INF), lk.ONE),) * 3,
                               ((((0, 1e7 + 0j),), 0), lk.ONE, (((-1, 1 + 0j),), INF))),
+    # ragged rows of 3, 2 and 1 stored entries: row 0's second add clears
+    # its t^1 against 1e20, which its third add cancels, so t^1 must not
+    # come back; row 1 never clears, and row 2's pads repeat its cleanup
+    "ragged-rows": (((_number((1, 1.0)), _number((0, 1e20)), _number((0, -1e20))),
+                     (lk.ONE, lk.ONE, lk.ZERO), (lk.ZERO, lk.ZERO, lk.ONE)), (lk.ONE,) * 3),
 }
 
 
@@ -578,10 +587,6 @@ def test_numpy_real_lane_vector_ops(case):
     same(lambda: lk.scaled(u, s_rot), lambda: lnp.scaled(u, s_rot))
 
 
-def _number(*terms, bound=INF):
-    return tuple((k, complex(c)) for k, c in terms), bound
-
-
 VECTOR_CASES = {
     # key 4 (1e20) lies above the second add's bound 1 but sets its cleanup,
     # which then drops key 0
@@ -626,68 +631,97 @@ def test_numpy_vector_ops_cases(case):
 
 
 def _chain_reference(p, bounds, keys):
-    """``lnp._chain`` as ``add``'s chain runs it, one numpy pass per ``add``."""
-    acc, bound, above, maxes = 0.0, INF, None, []
-    for row, b in zip(p.transpose(2, 1, 0), bounds.tolist()):
-        acc = acc + row
-        if b < bound:
-            bound = b
-            above = keys > b if b < keys[-1] else None
-        mags = lnp._abs(acc)
-        m = max(mags.tolist())
-        maxes.append(m)
-        drop = mags <= max(lk.EPS_REL * m, lk.EPS_FLOOR)
-        if above is not None:
-            drop |= above
-        np.copyto(acc, 0.0, where=drop)
-    return acc, bound, maxes
+    """``lnp._chain`` as ``add``'s chain runs it: row by row, one numpy pass
+    per ``add``."""
+    accs, row_bounds, row_maxes = [], [], []
+    for i in range(p.shape[3]):
+        acc, bound, above, maxes = 0.0, INF, None, []
+        for terms, b in zip(p[:, :, :, i].transpose(2, 0, 1), bounds[:, i].tolist()):
+            acc = acc + terms  # (slot, part)
+            if b < bound:
+                bound = b
+                above = keys > b if b < keys[-1] else None
+            mags = lnp._abs(acc)
+            m = max(mags.tolist())
+            maxes.append(m)
+            drop = mags <= max(lk.EPS_REL * m, lk.EPS_FLOOR)
+            if above is not None:
+                drop |= above
+            acc[drop] = 0.0
+        accs.append(acc)
+        row_bounds.append(bound)
+        row_maxes.append(maxes)
+    return np.stack(accs, axis=2), row_bounds, [list(m) for m in zip(*row_maxes)]
 
 
 @st.composite
 def chains(draw):
     """``(p, bounds, keys)`` for ``lnp._chain``: finite products over 1-6
-    keys and 1-8 adds, with signed zeros, on magnitudes over 23 orders, so
-    that the cleanup clears terms at many adds.  One add, the first, a
-    middle or the last, also gets a term 1e20 above the others (its
-    cleanup clears them), a bound below some key (the bound filter), or a
-    term near the largest float in a key that another add also fills (the
-    sum overflows)."""
-    width, parts, adds = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2])), \
-        draw(st.integers(1, 8))
+    keys, 1-8 adds and 1-4 rows, with signed zeros, on magnitudes over 23
+    orders, so that the cleanup clears terms at many adds.  In each row one
+    add, the first, a middle or the last, also gets a term 1e20 above the
+    others (its cleanup clears them), a bound below some key (the bound
+    filter), or a term near the largest float in a key that another add
+    also fills (the sum overflows); or the row's products are all 1.0, so
+    that it never clears.  The rows' first clearing adds thus differ.  A
+    row's last adds may be empty pads of bound INF, as the matrix action
+    gives its shorter rows."""
+    width, parts = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2]))
+    adds, rows = draw(st.integers(1, 8)), draw(st.integers(1, 4))
     values = st.one_of(st.sampled_from([0.0, -0.0]), st.builds(
         lambda e, s: s * 10.0 ** e, st.floats(-20, 3), st.sampled_from([-1.0, 1.0])))
-    p = np.array(draw(st.lists(values, min_size=width * parts * adds,
-                               max_size=width * parts * adds))).reshape(width, parts, adds)
+    size = width * parts * adds * rows
+    p = np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(
+        width, parts, adds, rows)
     keys = 2 * np.arange(width) - 2
-    bounds = np.array(draw(st.lists(st.sampled_from([INF, INF, 6.0]),
-                                    min_size=adds, max_size=adds)))
-    at = draw(st.sampled_from([0, adds // 2, adds - 1]))
-    slot = draw(st.integers(0, width - 1))
-    event = draw(st.sampled_from(["cleanup", "bound", "overflow", "none"]))
-    if event == "cleanup":
-        p[slot, 0, at] = draw(st.sampled_from([1e20, -1e20]))
-    elif event == "bound":
-        bounds[at] = float(keys[slot] - draw(st.integers(0, 1)))
-    elif event == "overflow":
-        p[slot, 0, at] = p[slot, 0, draw(st.integers(0, adds - 1))] = 1.6e308
+    bounds = np.array(draw(st.lists(st.sampled_from([INF, INF, 6.0]), min_size=adds * rows,
+                                    max_size=adds * rows))).reshape(adds, rows)
+    for i in range(rows):
+        at = draw(st.sampled_from([0, adds // 2, adds - 1]))
+        slot = draw(st.integers(0, width - 1))
+        event = draw(st.sampled_from(["cleanup", "bound", "overflow", "none", "never"]))
+        if event == "cleanup":
+            p[slot, 0, at, i] = draw(st.sampled_from([1e20, -1e20]))
+        elif event == "bound":
+            bounds[at, i] = float(keys[slot] - draw(st.integers(0, 1)))
+        elif event == "overflow":
+            p[slot, 0, at, i] = p[slot, 0, draw(st.integers(0, adds - 1)), i] = 1.6e308
+        elif event == "never":
+            p[:, :, :, i], bounds[:, i] = 1.0, INF
+        pads = draw(st.integers(0, adds - 1))
+        p[:, :, adds - pads:, i], bounds[adds - pads:, i] = 0.0, INF
     return p, bounds, keys
+
+
+def _clears_first_and_never():
+    """Row 0's first add clears its first slot against 1e20 in its last,
+    which its second add cancels: the first slot then holds 1.0, not the
+    2.0 of the running sum.  Row 1 never clears."""
+    p = np.zeros((3, 1, 2, 2))
+    p[:, 0, 0, 0] = 1.0, 0.0, 1e20
+    p[:, 0, 1, 0] = 1.0, 0.0, -1e20
+    p[:, 0, :, 1] = 1.0
+    return p, np.full((2, 2), INF), 2 * np.arange(3) - 2
 
 
 @FAST
 @given(chains())
+@example(_clears_first_and_never())
 def test_chain_accumulate(case):
-    """The accumulate with its check against the per-add loop: the same
-    sum bits (signed zeros included), bound and maxes, and the same verdict
-    on an overflow."""
+    """The accumulate with its check against the per-add loop, in every
+    row: the same sum bits (signed zeros included), bound and maxes, and
+    the same verdict on an overflow."""
     p, bounds, keys = case
     with np.errstate(over="ignore", invalid="ignore"):
         acc, bound, maxes = lnp._chain(p, bounds, keys)
         want_acc, want_bound, want_maxes = _chain_reference(p, bounds, keys)
-    assert lnp._finite(maxes) == lnp._finite(want_maxes)
-    if lnp._finite(want_maxes):
-        assert np.asarray(acc).tobytes() == np.asarray(want_acc).tobytes()
-        assert bound == want_bound
-        assert [float(m) for m in maxes] == want_maxes
+    for i, want in enumerate(zip(*want_maxes)):
+        got = [row[i] for row in maxes]
+        assert lnp._finite(got) == lnp._finite(want)
+        if lnp._finite(want):
+            assert acc[:, :, i].tobytes() == want_acc[:, :, i].tobytes()
+            assert bound[i] == want_bound[i]
+            assert got == list(want)
 
 
 @st.composite

@@ -99,7 +99,7 @@ class TestNorms:
             s = zero()
             for e in x:
                 s = s + core.conjugate(e) * e
-            window = core._bmin((n * n).valid_to, s.valid_to)
+            window = min((n * n).valid_to, s.valid_to)
             assert eq_up_to(n * n, s, window, 1e-10 * max(1.0, core.semi_norm(s, window)))
 
     def test_max_constants(self):
@@ -183,7 +183,7 @@ class TestGershgorin:
                 hit = False
                 for d in disks:
                     dist = magnitude(noise_cleaned_diff(nu, d.center))
-                    window = core._bmin(F(6), core._bmin(dist.valid_to, d.radius.valid_to))
+                    window = min(F(6), dist.valid_to, d.radius.valid_to)
                     if compare(truncated(dist, window), truncated(d.radius, window)) <= 0:
                         hit = True
                         break

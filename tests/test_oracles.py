@@ -29,7 +29,7 @@ class TestInvOracle:
             a = rand_nonzero(rng, bound=5, complex_coeffs=True)
             inv = oracles.series_inv_longdiv(a, 5)
             window = F(5) - 2 * a.terms[0][0]
-            assert eq_up_to(a * inv, constant(1), core._bmin(window, (a * inv).valid_to), 1e-10)
+            assert eq_up_to(a * inv, constant(1), min(window, (a * inv).valid_to), 1e-10)
 
 
 class TestSqrtOracle:
@@ -84,8 +84,8 @@ class TestEig2x2:
             checked += 1
             tr = a + d
             det = a * d - b * c
-            assert eq_up_to(nu1 + nu2, tr, core._bmin(F(6), tr.valid_to), 1e-10)
-            window = core._bmin(F(6), det.valid_to)
+            assert eq_up_to(nu1 + nu2, tr, min(F(6), tr.valid_to), 1e-10)
+            window = min(F(6), det.valid_to)
             assert eq_up_to(nu1 * nu2, det, window, 1e-10 * max(1.0, core.semi_norm(det, window)))
 
     def test_degenerate_constant_discriminant(self):
@@ -133,5 +133,5 @@ class TestCharpolySeries:
                 lead = cs[-1][0].real  # +-1
                 for k, a_k in enumerate(coeffs):
                     got = cs[k] * constant(1.0 / lead)
-                    window = core._bmin(F(6), core._bmin(got.valid_to, a_k.valid_to))
+                    window = min(F(6), got.valid_to, a_k.valid_to)
                     assert eq_up_to(got, a_k, window, 1e-10 * max(1.0, core.semi_norm(a_k, window)))

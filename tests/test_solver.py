@@ -55,11 +55,13 @@ class TestConfig:
     # a negative check window compares no terms and reports converged after
     # one step; a negative truncation loses every iterate; the complex_pi_*
     # settings made the constant-part power iteration report dominance
-    # uncertain after up to 500 wasted iterations
+    # uncertain after up to 500 wasted iterations; a non-integer count made
+    # solve raise a TypeError from range()
     @pytest.mark.parametrize("name, value", [
         ("truncation", F(-1)), ("check_window", F(-1)), ("complex_pi_iters", 0),
         ("complex_pi_iters", -3), ("complex_pi_tol", float("nan")), ("complex_pi_tol", 0.0),
-        ("complex_pi_tol", -1e-12)], ids=lambda v: str(v))
+        ("complex_pi_tol", -1e-12), ("max_iters", 2.5), ("complex_pi_iters", 7.5)],
+        ids=lambda v: str(v))
     def test_out_of_range(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} .*got {re.escape(str(value))}$"):
             SolverConfig(**{"truncation": F(6), name: value})
@@ -103,7 +105,7 @@ class TestPrecondition:
         assert abs(mu1 - 1.0) < 1e-9
         for row_a, row_b in zip(A.rows, a_norm.rows):
             for a, b in zip(row_a, row_b):
-                window = core._bmin(F(6), core._bmin(a.valid_to, b.valid_to))
+                window = min(F(6), a.valid_to, b.valid_to)
                 assert eq_up_to(a, b, window, 1e-9)
 
     def test_scalar_constant_part_rejected(self):
