@@ -1,7 +1,8 @@
 """The series kernels of lcpower on int exponent keys: the one
-implementation of the sum and its cleanup, the product, the inverse and
-square-root series, the magnitude, the order comparison, the semi-norm
-and the vector operations of the power-iteration loop.
+implementation of the sum and its cleanup, the product, the inverse, the
+square root and the inverse square root (powers of one series, by one
+coefficient recurrence), the magnitude, the order comparison, the
+semi-norm and the vector operations of the power-iteration loop.
 
 Every exponent of a computation lies on one lattice ``(1/D)Z``.  A number
 is a pair ``(terms, bound)``: ``terms`` is a sorted tuple of ``(k, c)``
@@ -63,9 +64,6 @@ def constant(x):
     c = 0j + c  # as from_terms accumulates it
     m = abs(c)
     return (((0, c),), INF) if m > max(EPS_REL * m, EPS_FLOOR) else ZERO
-
-
-ONE = constant(1.0)
 
 
 def add(a, b):
@@ -195,38 +193,46 @@ def _split_leading(a):
     return lam, c, (tuple((q - lam, cq / c) for q, cq in terms[1:]), b - lam)
 
 
-def _series(eps, kind: str):
-    """The geometric (inverse) or binomial (square root) series of ``eps``
-    on its window; later powers cannot reach the window.  Terms never
-    exceed their bound, so the window is >= 0 and ``//`` truncates."""
-    series_bound = eps[1]
-    if series_bound == INF:
+def _power(eps, alpha: float, scale, lead: int, kind: str):
+    """``scale t^lead (1 + eps)^alpha`` on eps's window, every coefficient
+    of the power series in one pass by J. C. P. Miller's recurrence (D. E.
+    Knuth, TAOCP vol. 2, 4.7): with ``f = 1 + eps`` on the stride ``h`` of
+    eps's keys, ``g_0 = 1`` and ``k g_k = sum_j ((alpha + 1) j - k) f_j
+    g_(k-j)``, ``j`` running over eps's terms.  A grid key that no sum of
+    eps's keys reaches comes out an exact zero.  The scaled coefficients
+    get ``add``'s cleanup once.  Terms never exceed their bound, so the
+    window is >= 0 and ``//`` truncates."""
+    terms, bound = eps
+    if bound == INF:
         raise PrecisionError(
             f"{kind} of an unbounded non-monomial series has infinite support; "
             "truncate the input or pass bound=...")
-    n_terms = series_bound // eps[0][0][0] + 1
-    acc = power = ONE
-    if kind == "inverse":
-        neg_eps = neg(eps)
-        for _ in range(1, n_terms):
-            power = truncated(mul(power, neg_eps), series_bound)
-            if not power[0]:
+    h = 0
+    for q, _ in terms:
+        h = math.gcd(h, q)
+    f = [(q // h, c) for q, c in terms]
+    a1 = alpha + 1.0
+    g = [1.0 + 0j]
+    for k in range(1, bound // h + 1):
+        s = 0j
+        for j, fj in f:
+            if j > k:
                 break
-            acc = add(acc, power)
-    else:
-        coeff = 1.0  # binomial(1/2, k), updated iteratively
-        for k in range(1, n_terms):
-            coeff *= (0.5 - (k - 1)) / k
-            power = truncated(mul(power, eps), series_bound)
-            if not power[0]:
-                break
-            acc = add(acc, mul(power, constant(coeff)))
-    return truncated(acc, series_bound)
+            s += (a1 * j - k) * fj * g[k - j]
+        g.append(s / k)
+    coeffs = [scale * c for c in g]
+    mags = list(map(abs, coeffs))
+    # max() skips a NaN unless it comes first
+    if not all(map(math.isfinite, mags)):
+        raise ValueError("coefficient overflow in multiplication")
+    cut = max(EPS_REL * max(mags), EPS_FLOOR)
+    return (tuple((lead + k * h, c) for k, (c, m) in enumerate(zip(coeffs, mags)) if m > cut),
+            bound + lead)
 
 
 def invert(a):
-    """1/a by the geometric series of the remainder after the leading
-    monomial, valid to T_a - 2 val(a)."""
+    """1/a: the leading monomial's inverse times ``(1 + eps)^-1``, eps the
+    remainder after it, valid to T_a - 2 val(a)."""
     if not a[0]:
         raise ZeroDivisionError("inverse of zero")
     lam, c, eps = _split_leading(a)
@@ -235,7 +241,7 @@ def invert(a):
         raise PrecisionError("validity window leaves no representable terms for the inverse")
     if not eps[0]:
         return ((-lam, 1.0 / c),), out_bound
-    return shift(mul(_series(eps, "inverse"), constant(1.0 / c)), -lam)
+    return _power(eps, -1.0, 1.0 / c, -lam, "inverse")
 
 
 def _half(k):
@@ -244,22 +250,37 @@ def _half(k):
     return k if k == INF else k // 2
 
 
-def sqrt(a):
-    """The positive square root of a positive real number by the binomial
-    series of the remainder after the leading monomial, valid to
-    T_a - val(a)/2."""
-    if not a[0]:
-        return (), _half(a[1])
+def _root_split(a):
+    """(val(a)/2, sqrt(c), eps) with a = c t^val(a) (1 + eps) a positive real."""
     if not is_real(a):
         raise DomainError("square root of a number with complex coefficients")
     lam, c, eps = _split_leading(a)
     if c.real < 0:
         raise DomainError("square root of a negative number")
-    half_lam = _half(lam)
-    root_c = math.sqrt(c.real)
+    return _half(lam), math.sqrt(c.real), eps
+
+
+def sqrt(a):
+    """The positive square root of a positive real number: the leading
+    monomial's root times ``(1 + eps)^(1/2)``, valid to T_a - val(a)/2."""
+    if not a[0]:
+        return (), _half(a[1])
+    half_lam, root_c, eps = _root_split(a)
     if not eps[0]:
         return ((half_lam, complex(root_c)),), a[1] - half_lam
-    return shift(mul(_series(eps, "square root"), constant(root_c)), half_lam)
+    return _power(eps, 0.5, root_c, half_lam, "square root")
+
+
+def rsqrt(a):
+    """1/sqrt(a) of a positive real number as one series, ``(1 +
+    eps)^(-1/2)``, with ``invert(sqrt(a))``'s leading term ``c^(-1/2)
+    t^(-val(a)/2)`` and bound T_a - 3 val(a)/2."""
+    if not a[0]:
+        raise ZeroDivisionError("inverse of zero")
+    half_lam, root_c, eps = _root_split(a)
+    if not eps[0]:
+        return ((-half_lam, complex(1.0 / root_c)),), a[1] - 3 * half_lam
+    return _power(eps, -0.5, 1.0 / root_c, -half_lam, "inverse square root")
 
 
 def magnitude(z):
@@ -422,19 +443,21 @@ def normalize(y, norm_kind: str, truncation: int, ops=PYTHON):
     """Normalize and re-truncate to the fixed window: (x, max-norm pivot tie)."""
     y = ops.truncated(y, truncation)
     tie = False
+    # y is scaled by the max norm's inverse, whose leading coefficient
+    # is > 0, or by the inverse root of sum |y_i|^2 (the l2 norm's inverse)
     if norm_kind == "max":
-        nrm, _idx, tie = norm_max(y, ops)
+        base, _idx, tie = norm_max(y, ops)
+        inverse = invert
     else:
-        # the cleanup may drop the sum's constant term next to large
-        # infinitesimal ones and leave it without a root, or with a root
-        # of positive valuation: the constant part is lost either way
-        s = ops.sum_abs_squares(y)
-        nrm = sqrt(s) if s[0] and s[0][0][0] <= 0 and s[0][0][1].real > 0.0 else ZERO
-    if not nrm[0] or nrm[0][0][0] > 0:
+        base, inverse = ops.sum_abs_squares(y), rsqrt
+    # the cleanup may drop the sum's constant term next to large
+    # infinitesimal ones and leave it without a root, or with a root of
+    # positive valuation: the constant part is lost either way
+    if not base[0] or base[0][0][0] > 0 or base[0][0][1].real <= 0.0:
         raise LostDominanceError(
             "normalization lost its constant part; the start vector has "
             "numerically no component along the dominant eigenvector")
-    return ops.retruncated(ops.scaled(y, invert(nrm)), truncation), tie
+    return ops.retruncated(ops.scaled(y, inverse(base)), truncation), tie
 
 
 def rayleigh(u, au, ops=PYTHON):

@@ -436,8 +436,9 @@ def retruncate(a: LCNumber, bound: BoundLike) -> LCNumber:
 def invert(a: LCNumber, bound: BoundLike = None) -> LCNumber:
     """Multiplicative inverse on the largest window the input supports.
 
-    Factors out the leading monomial and sums the geometric series of the
-    infinitesimal remainder; the result is valid to ``T_a - 2 val(a)``.
+    Factors out the leading monomial and takes the power -1 of one plus
+    the infinitesimal remainder by one coefficient recurrence; the result
+    is valid to ``T_a - 2 val(a)``.
     An exactly represented input (infinite bound) with more than one term
     has an inverse with infinite support, so a finite ``bound`` must be
     supplied (or the input truncated) first.
@@ -450,9 +451,10 @@ def invert(a: LCNumber, bound: BoundLike = None) -> LCNumber:
 def sqrt(a: LCNumber, bound: BoundLike = None) -> LCNumber:
     """Square root of a positive real number (ordered-field root, result > 0).
 
-    Requires real coefficients and a positive leading coefficient.  Uses
-    the binomial series of the infinitesimal remainder after factoring the
-    leading monomial; the result is valid to ``T_a - val(a)/2``.
+    Requires real coefficients and a positive leading coefficient.  Takes
+    the power 1/2 of one plus the infinitesimal remainder after factoring
+    the leading monomial, by the same recurrence as :func:`invert`; the
+    result is valid to ``T_a - val(a)/2``.
     """
     if bound is not None:
         a = truncated(a, bound)

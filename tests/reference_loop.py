@@ -6,9 +6,12 @@ These are the sum, negation, order comparison, semi-norm, ``eq_up_to``
 and coefficient-wise parts of :mod:`lcpower.core`, its product, inverse,
 square root and magnitude, the matrix action, norms and Rayleigh quotient
 of :mod:`lcpower.linalg`, and the loop of :func:`lcpower.solver.solve`, as
-they ran before all of them moved onto int exponent keys.  Nothing here
-calls the kernel: arithmetic goes through :func:`add`, :func:`sub` and
-:func:`mul`, never through ``+``, ``-`` or ``*`` on ``LCNumber``.
+they ran before all of them moved onto int exponent keys.  The inverse,
+the square root and the l2 normalization's inverse root are the kernel's
+power recurrence with the same float operations in the same order, on
+``Fraction`` exponents.  Nothing here calls the kernel: arithmetic goes
+through :func:`add`, :func:`sub` and :func:`mul`, never through ``+``,
+``-`` or ``*`` on ``LCNumber``.
 Truncation, exponent shifts, constants, the start vector and the
 constant-part power iteration are the package's own (they never call the
 kernel).  The loop has no restart: it raises where ``solve`` restarts.
@@ -174,13 +177,33 @@ def _split_leading(a):
     return lam, c, LCNumber(tail, _bsub(a.valid_to, lam))
 
 
-def _series_window(a, lam, kind):
-    series_bound = _bsub(a.valid_to, lam)
-    if series_bound == INF:
+def _power(eps, alpha, scale, lead, kind):
+    """``scale t^lead (1 + eps)^alpha`` on eps's window by Miller's
+    recurrence on the stride ``h`` of eps's exponents."""
+    bound = eps.valid_to
+    if bound == INF:
         raise PrecisionError(
             f"{kind} of an unbounded non-monomial series has infinite support; "
             "truncate the input or pass bound=...")
-    return series_bound
+    grid = math.lcm(*(q.denominator for q, _ in eps.terms))
+    h = Fraction(math.gcd(*(q.numerator * (grid // q.denominator) for q, _ in eps.terms)), grid)
+    f = [(int(q / h), c) for q, c in eps.terms]
+    a1 = alpha + 1.0
+    g = [1.0 + 0j]
+    for k in range(1, math.floor(bound / h) + 1):
+        s = 0j
+        for j, fj in f:
+            if j > k:
+                break
+            s += (a1 * j - k) * fj * g[k - j]
+        g.append(s / k)
+    coeffs = [scale * c for c in g]
+    mags = [abs(c) for c in coeffs]
+    if not all(map(math.isfinite, mags)):
+        raise ValueError("coefficient overflow in multiplication")
+    cut = max(core.EPS_REL * max(mags), core.EPS_FLOOR)
+    return LCNumber(tuple((lead + k * h, c) for k, c in enumerate(coeffs) if abs(c) > cut),
+                    bound + lead)
 
 
 def invert(a):
@@ -192,43 +215,36 @@ def invert(a):
         raise PrecisionError("validity window leaves no representable terms for the inverse")
     if not eps.terms:
         return LCNumber(((-lam, 1.0 / c),), out_bound)
-    series_bound = _series_window(a, lam, "inverse")
-    n_terms = int(series_bound / eps.terms[0][0]) + 1
-    neg_eps = neg(eps)
-    acc = power = constant(1.0)
-    for _ in range(1, n_terms):
-        power = truncated(mul(power, neg_eps), series_bound)
-        if not power.terms:
-            break
-        acc = add(acc, power)
-    acc = truncated(acc, series_bound)
-    return shift_exponents(mul(acc, constant(1.0 / c)), -lam)
+    return _power(eps, -1.0, 1.0 / c, -lam, "inverse")
 
 
-def sqrt(a):
-    if not a.terms:
-        return LCNumber((), INF if a.valid_to == INF else a.valid_to / 2)
+def _root_split(a):
     if not is_real(a):
         raise DomainError("square root of a number with complex coefficients")
     lam, c, eps = _split_leading(a)
     c = c.real
     if c < 0:
         raise DomainError("square root of a negative number")
-    root_c = math.sqrt(c)
+    return lam / 2, math.sqrt(c), eps
+
+
+def sqrt(a):
+    if not a.terms:
+        return LCNumber((), INF if a.valid_to == INF else a.valid_to / 2)
+    half_lam, root_c, eps = _root_split(a)
     if not eps.terms:
-        return LCNumber(((lam / 2, complex(root_c)),), _bsub(a.valid_to, lam / 2))
-    series_bound = _series_window(a, lam, "square root")
-    n_terms = int(series_bound / eps.terms[0][0]) + 1
-    acc = power = constant(1.0)
-    coeff = 1.0  # binomial(1/2, k), updated iteratively
-    for k in range(1, n_terms):
-        coeff *= (0.5 - (k - 1)) / k
-        power = truncated(mul(power, eps), series_bound)
-        if not power.terms:
-            break
-        acc = add(acc, mul(power, constant(coeff)))
-    acc = truncated(acc, series_bound)
-    return shift_exponents(mul(acc, constant(root_c)), lam / 2)
+        return LCNumber(((half_lam, complex(root_c)),), _bsub(a.valid_to, half_lam))
+    return _power(eps, 0.5, root_c, half_lam, "square root")
+
+
+def rsqrt(a):
+    if not a.terms:
+        raise ZeroDivisionError("inverse of zero")
+    half_lam, root_c, eps = _root_split(a)
+    if not eps.terms:
+        return LCNumber(((-half_lam, complex(1.0 / root_c)),),
+                        _bsub(a.valid_to, 3 * half_lam))
+    return _power(eps, -0.5, 1.0 / root_c, -half_lam, "inverse square root")
 
 
 def magnitude(z):
@@ -333,15 +349,16 @@ def normalize_vector(y, norm_kind, truncation):
     tie = False
     if norm_kind == "max":
         nrm, _idx, tie = norm_max_info(y)
+        lost = nrm.is_zero or nrm.terms[0][0] > 0
     else:  # a sum whose cleanup dropped its constant term has lost it
         s = _sum_abs_squares(y)
         lost = not s.terms or s.terms[0][0] > 0 or s.terms[0][1].real <= 0.0
-        nrm = core.zero() if lost else sqrt(s)
-    if nrm.is_zero or nrm.terms[0][0] > 0:
+    if lost:
         raise LostDominanceError(
             "normalization lost its constant part; the start vector has "
             "numerically no component along the dominant eigenvector")
-    return scaled(y, invert(nrm)).retruncated(truncation), tie
+    inverse = invert(nrm) if norm_kind == "max" else rsqrt(s)
+    return scaled(y, inverse).retruncated(truncation), tie
 
 
 def power_step(A_norm, x, norm_kind, truncation):

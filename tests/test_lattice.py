@@ -18,6 +18,7 @@ import functools
 import operator
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,8 @@ from randgen import random_dominated_2x2
 
 FAST = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 SLOW = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+ONE = lk.constant(1.0)
 
 exponents = st.builds(F, st.integers(-6, 12), st.sampled_from([1, 2, 3]))
 bounds = st.one_of(st.just(INF), exponents)
@@ -209,6 +212,7 @@ def test_series_ops(a):
         reference = getattr(reference_loop, name)
         same(lambda: reference(a), lambda: lat.to_number(getattr(lk, name)(ka)))
         same(lambda: reference(a), lambda: getattr(core, name)(a))
+    same(lambda: reference_loop.rsqrt(a), lambda: lat.to_number(lk.rsqrt(ka)))
 
 
 @FAST
@@ -232,7 +236,7 @@ def test_overflow_raises():
         core.constant(1.5e308) + (core.constant(1.5e308) + core.monomial(1))
     # huge finite magnitudes whose sum overflows are not an overflow
     huge = (((0, 1e308 + 0j), (1, 1e308 + 0j)), INF)
-    assert lk.mul(huge, lk.ONE) == huge
+    assert lk.mul(huge, ONE) == huge
 
 
 def test_off_lattice_root_raises():
@@ -358,7 +362,7 @@ def matrix_and_vector(draw, max_n=6, coeff_sets=(coefficients, units,
 
     def entry(i, j):
         if pattern == "companion" and j != n - 1:
-            return lk.ONE if i == j + 1 else lk.ZERO
+            return ONE if i == j + 1 else lk.ZERO
         return draw(lattice_numbers(stride, coeffs, empty=pattern == "sparse"))
 
     M = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
@@ -400,13 +404,13 @@ ACTION_CASES = {
     "signed-zeros": _uniform((((0, -1 + 0j),), INF), (((0, -2 + 0j),), INF)),
     # t^1 * 1e20 sets the second add's cleanup but lies above the row's
     # bound 0, so it must not set the third add's: t^-1 stays
-    "bound-filter-each-add": (((lk.ONE, (((1, 1e20 + 0j),), INF), lk.ONE),) * 3,
-                              ((((0, 1e7 + 0j),), 0), lk.ONE, (((-1, 1 + 0j),), INF))),
+    "bound-filter-each-add": (((ONE, (((1, 1e20 + 0j),), INF), ONE),) * 3,
+                              ((((0, 1e7 + 0j),), 0), ONE, (((-1, 1 + 0j),), INF))),
     # ragged rows of 3, 2 and 1 stored entries: row 0's second add clears
     # its t^1 against 1e20, which its third add cancels, so t^1 must not
     # come back; row 1 never clears, and row 2's pads repeat its cleanup
     "ragged-rows": (((_number((1, 1.0)), _number((0, 1e20)), _number((0, -1e20))),
-                     (lk.ONE, lk.ONE, lk.ZERO), (lk.ZERO, lk.ZERO, lk.ONE)), (lk.ONE,) * 3),
+                     (ONE, ONE, lk.ZERO), (lk.ZERO, lk.ZERO, ONE)), (ONE,) * 3),
 }
 
 
@@ -419,9 +423,9 @@ def test_numpy_matvec_cases(case):
 def test_matrix_action_selection():
     # a 4x4 (16 stored entries) stays on Python, a 5x5 (25) goes to numpy,
     # the matrix action and the vector operations together
-    action, ops = lnp.kernel(_filled(4, lk.ONE))
+    action, ops = lnp.kernel(_filled(4, ONE))
     assert isinstance(action, functools.partial) and ops is lk.PYTHON
-    action, ops = lnp.kernel(_filled(5, lk.ONE))
+    action, ops = lnp.kernel(_filled(5, ONE))
     assert isinstance(action, lnp.MatrixAction) and ops is lnp.NUMPY
 
 
@@ -479,8 +483,8 @@ def test_empty_factor_claims_exact_zero():
     """``mul`` treats a factor without terms as an exact zero, whatever its
     bound: ``O(t^2) * 1`` claims to be zero everywhere, though a term of
     the first factor at t^3 would change it there."""
-    assert lk.mul(((), 2), lk.ONE) == lk.ZERO
-    assert lk.mul((((3, 1 + 0j),), 3), lk.ONE) == (((3, 1 + 0j),), 3)
+    assert lk.mul(((), 2), ONE) == lk.ZERO
+    assert lk.mul((((3, 1 + 0j),), 3), ONE) == (((3, 1 + 0j),), 3)
 
 
 # -- the numpy vector operations -------------------------------------------------------
@@ -771,13 +775,13 @@ def test_numpy_loop_tail_ops(case, data):
     same(lambda: list(lk.diff_semi_norms(a, b, r, 6)),
          lambda: list(lnp.diff_semi_norms(x, y, r, 6)))
     same(lambda: lk.phase_aligned(a), lambda: lk.phase_aligned(x, lnp.NUMPY))
-    same(lambda: lk.weakly_converged(a, b, lk.ONE, lk.ONE, r, 1e-8, 6),
-         lambda: lk.weakly_converged(x, y, lk.ONE, lk.ONE, r, 1e-8, 6, lnp.NUMPY))
+    same(lambda: lk.weakly_converged(a, b, ONE, ONE, r, 1e-8, 6),
+         lambda: lk.weakly_converged(x, y, ONE, ONE, r, 1e-8, 6, lnp.NUMPY))
     if a and b:  # one numpy vector, its entry converted alone
         for i in (0, -1):
             assert repr(lnp._layout(a)[i]) == repr(a[i])
-        same(lambda: lk.weakly_converged(a, b, lk.ONE, lk.ONE, r, 1e-8, 6),
-             lambda: lk.weakly_converged(x, b, lk.ONE, lk.ONE, r, 1e-8, 6, lnp.NUMPY))
+        same(lambda: lk.weakly_converged(a, b, ONE, ONE, r, 1e-8, 6),
+             lambda: lk.weakly_converged(x, b, ONE, ONE, r, 1e-8, 6, lnp.NUMPY))
 
 
 TAIL_CASES = {
@@ -800,8 +804,8 @@ def test_numpy_loop_tail_cases(case):
     same(lambda: lk.leading(a), lambda: lnp.leading(x))
     same(lambda: list(lk.diff_semi_norms(a, b, 1, 6)),
          lambda: list(lnp.diff_semi_norms(x, y, 1, 6)))
-    same(lambda: lk.weakly_converged(a, b, lk.ONE, lk.ONE, 1, 1e-8, 6),
-         lambda: lk.weakly_converged(x, y, lk.ONE, lk.ONE, 1, 1e-8, 6, lnp.NUMPY))
+    same(lambda: lk.weakly_converged(a, b, ONE, ONE, 1, 1e-8, 6),
+         lambda: lk.weakly_converged(x, y, ONE, ONE, 1, 1e-8, 6, lnp.NUMPY))
 
 
 @st.composite
@@ -977,25 +981,169 @@ def edge_numbers(draw, real):
 
 
 @SLOW
-@given(st.sampled_from(["invert", "sqrt"]).flatmap(
-    lambda op: st.tuples(st.just(op), edge_numbers(real=op == "sqrt"))), st.data())
+@given(st.sampled_from(["invert", "sqrt", "rsqrt"]).flatmap(
+    lambda op: st.tuples(st.just(op), edge_numbers(real=op != "invert"))), st.data())
 def test_series_bound(case, data):
-    """Changing the input above its bound does not change ``invert`` or
-    ``sqrt`` on the bound it claims, up to the cleanup (see
-    ``test_matvec_bound``).  With ``a = c t^v (1 + eps)`` and ``e`` the l1
-    norm of ``eps``, the geometric majorant ``1 / (1 - e)`` bounds the
-    series of either and the effect of a term dropped from one of its
-    powers or partial sums, so ``S`` is ``|c|^-1 (1 - e)^-2`` for the
-    inverse and ``|c|^(1/2) (1 - e)^-2`` for the root."""
+    """Changing the input above its bound does not change ``invert``,
+    ``sqrt`` or ``rsqrt`` on the bound it claims, up to the cleanup (see
+    ``test_matvec_bound``).  Both runs give each coefficient on that window
+    from the same terms in the same order (a finer key stride scales every
+    term's integer factor alike, which moves only roundoff), so only the
+    one final cleanup, relative to a largest coefficient that the keys
+    above the window take part in, may drop a term in one run and keep it
+    in the other.  With ``a = c t^v (1 + eps)`` and ``e`` the l1 norm of
+    ``eps``, the geometric majorant ``1 / (1 - e)`` bounds every power
+    series of ``eps`` and its coefficients, so ``S`` is ``|c|^-1 (1 -
+    e)^-2`` for the inverse, ``|c|^(1/2) (1 - e)^-2`` for the root and
+    ``|c|^(-1/2) (1 - e)^-2`` for the inverse root."""
     name, a = case
-    real = name == "sqrt"
+    real = name != "invert"
     a2 = _changed(data, a, small_reals if real else small)
     before, after = getattr(lk, name)(a), getattr(lk, name)(a2)
     c = abs(a2[0][0][1])
     e = (_l1(a2) - c) / c
-    S = (c ** 0.5 if real else 1 / c) / (1 - e) ** 2
+    S = c ** {"invert": -1, "sqrt": 0.5, "rsqrt": -0.5}[name] / (1 - e) ** 2
     W = before[1] - before[0][0][0] + 1
     _window_diff(before, after, _cleanup_tolerance(2 * W + 2, W, S))
+
+
+@SLOW
+@given(edge_numbers(real=False), edge_numbers(real=False), st.data())
+def test_mul_bound(a, b, data):
+    """Changing both factors above their bounds does not change ``a * b``
+    on the bound it claims, ``min(T_a + val b, T_b + val a)``, up to its
+    one cleanup: a term above a factor's bound reaches only keys above
+    that, and the contributions to each key below it come in the same
+    order, so only the cleanup, relative to a largest magnitude that the
+    keys above the window take part in, may tell the runs apart.  Every
+    coefficient is at most ``S = l1(a) l1(b)``."""
+    a2, b2 = _changed(data, a, small), _changed(data, b, small)
+    before, after = lk.mul(a, b), lk.mul(a2, b2)
+    W = before[1] - before[0][0][0] + 1
+    _window_diff(before, after, _cleanup_tolerance(1, W, _l1(a2) * _l1(b2)))
+
+
+@SLOW
+@given(st.booleans().flatmap(edge_numbers), st.booleans(), st.data())
+def test_magnitude_bound(z, negated, data):
+    """Changing ``z`` above its bound does not change ``|z|`` on the bound
+    it claims, up to the cleanup.  A real ``z`` only flips its sign.  A
+    complex one takes the root of ``re^2 + im^2``, whose leading
+    coefficient is ``|c|^2`` and whose remainder has the l1 norm at most
+    ``e (2 + e)``, ``e`` that of ``z``'s remainder: ``test_series_bound``'s
+    majorant for the root, with the cleanups of the two squares and the
+    sum added."""
+    if negated:
+        z = lk.neg(z)
+    z2 = _changed(data, z, small_reals if lk.is_real(z) else small)
+    before, after = lk.magnitude(z), lk.magnitude(z2)
+    c = abs(z2[0][0][1])
+    e = (_l1(z2) - c) / c
+    S = c / (1 - e * (2 + e)) ** 2
+    W = before[1] - before[0][0][0] + 1
+    _window_diff(before, after, _cleanup_tolerance(2 * W + 5, W, S))
+
+
+@st.composite
+def power_inputs(draw, real):
+    """``c t^v (1 + eps)`` with ``|c|`` in [0.1, 10], ``v`` of either sign
+    (even when ``real``, so that roots stay on the lattice) and 1-5 terms
+    of ``eps`` up to 0.6 in modulus on a key stride of 1-3, bounded at its
+    last term, one key or one stride above it, or up to 18 strides above
+    ``v``."""
+    stride = draw(st.sampled_from([1, 2, 3]))
+    v = 2 * draw(st.integers(-2, 2)) if real else draw(st.integers(-4, 4))
+    size = draw(st.floats(0.1, 10))
+    c = size if real else cmath.rect(size, draw(st.floats(-3.2, 3.2)))
+    keys = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True))
+    terms = ((v, complex(c)),)
+    for k in sorted(keys):
+        m = draw(st.floats(0.01, 0.6))
+        if real:
+            m *= draw(st.sampled_from([1.0, -1.0]))
+        else:
+            m = cmath.rect(m, draw(st.floats(-3.2, 3.2)))
+        terms += ((v + stride * k, complex(c * m)),)
+    last = terms[-1][0]
+    bound = draw(st.sampled_from([last, last + 1, last + stride, v + 18 * stride]))
+    return lk.truncated((terms, INF), bound)
+
+
+@SLOW
+@given(st.sampled_from(["invert", "sqrt", "rsqrt"]).flatmap(
+    lambda op: st.tuples(st.just(op), power_inputs(real=op != "invert"))))
+def test_series_match_reference(case):
+    """``test_series_ops`` on bounded inputs of several terms, where the
+    recurrence runs over many keys (``any_numbers`` are mostly monomials,
+    unbounded or rejected there): bit for bit the reference's on
+    ``Fraction`` exponents, the keys read on the lattice ``(1/2)Z``."""
+    name, ka = case
+    lat = Lattice([], [])
+    a = lat.to_number(ka)
+    same(lambda: getattr(reference_loop, name)(a), lambda: lat.to_number(getattr(lk, name)(ka)))
+
+
+def _mp(a):
+    return {k: mpmath.mpc(c.real, c.imag) for k, c in a[0]}
+
+
+def _mp_mul(x, y, top):
+    """The product of two exact series, up to the key ``top``."""
+    out = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            if i + j <= top:
+                out[i + j] = out.get(i + j, 0) + ci * cj
+    return out
+
+
+def _accuracy_tolerance(W, scale):
+    """The final cleanup of a series on ``W`` keys drops at most ``W``
+    terms of at most ``EPS_REL`` times its largest coefficient, each of
+    which moves a product's coefficient by at most ``EPS_REL`` times the
+    product's coefficient scale.  The factor 2 leaves room for the
+    roundoff, which is orders of magnitude smaller."""
+    return 2 * W * lk.EPS_REL * scale
+
+
+@SLOW
+@given(st.sampled_from(["invert", "sqrt", "rsqrt"]).flatmap(
+    lambda op: st.tuples(st.just(op), power_inputs(real=op != "invert"))))
+def test_series_accuracy(case):
+    """The float results of ``invert``, ``sqrt`` and ``rsqrt``, taken to
+    50-digit arithmetic, satisfy their defining identities on the window
+    their product claims: ``f g - 1``, ``g^2 - f`` and ``f g^2 - 1`` stay
+    within ``_accuracy_tolerance`` of the products' coefficient scale (the
+    l1 norms of their factors multiplied).  ``rsqrt`` claims the bound of
+    ``invert(sqrt(f))`` and agrees with it, a series ``l1(g)`` times the
+    scale of ``f g^2``, within the same tolerance.  None of this shares the
+    recurrence."""
+    name, f = case
+    g = getattr(lk, name)(f)
+    lam = f[0][0][0]
+    F_, G = _mp(f), _mp(g)
+    with mpmath.workdps(50):
+        if name == "invert":
+            top, scale = f[1] - lam, _l1(f) * _l1(g)
+            residual = _mp_mul(F_, G, top)
+            residual[0] = residual.get(0, 0) - 1
+        elif name == "sqrt":
+            top, scale = f[1], _l1(g) ** 2
+            residual = _mp_mul(G, G, top)
+            for k, c in F_.items():
+                residual[k] = residual.get(k, 0) - c
+        else:
+            top, scale = f[1] - lam, _l1(f) * _l1(g) ** 2
+            residual = _mp_mul(F_, _mp_mul(G, G, top - lam), top)
+            residual[0] = residual.get(0, 0) - 1
+    W = top - min(residual) + 1
+    assert max(abs(c) for k, c in residual.items() if k <= top) <= _accuracy_tolerance(W, scale)
+    if name == "rsqrt":
+        composed = lk.invert(lk.sqrt(f))
+        assert composed[1] == g[1]
+        W = g[1] - g[0][0][0] + 1
+        tol = _accuracy_tolerance(W, _l1(g) * scale)
+        _window_diff(g, composed, tol)
 
 
 # -- whole solves ---------------------------------------------------------------------
