@@ -899,9 +899,11 @@ def test_rayleigh_bound(kernel, case, data):
     (see ``test_matvec_bound``).  To first order a term dropped from
     sum |u_i|^2 (coefficients at most S_s) or from u* au (at most S_n)
     moves the result by its size times A or S_n A^2, A bounding the
-    inverse's l1 norm by the geometric majorant 1 / (c (1 - e)) of
-    ``_series``; a term dropped inside the inverse series moves it by at
-    most its size times S_n A^2 c.  A numerator without terms makes the
+    inverse's l1 norm and its coefficients by the geometric majorant
+    1 / (c (1 - e)) of every power series of eps; the inverse's one final
+    cleanup in ``_power`` drops only terms of the inverse itself, at most
+    EPS_REL A each, and such a term moves the result by at most its size
+    times S_n.  A numerator without terms makes the
     quotient an exact zero whatever its bound (see
     ``test_empty_factor_claims_exact_zero``), so such draws are left out."""
     ops = KERNELS[kernel]
