@@ -18,14 +18,15 @@ here imports the rest of the package apart from :mod:`lcpower.errors`.
 A value that would leave the lattice raises :class:`LatticeError`.
 
 The loop's batched operations have two kernels: :func:`matvec` and
-:data:`PYTHON` here, and :mod:`lcpower._lattice_np`, the same float
-operations on numpy arrays.  ``solve`` picks one of them per solve
-(:func:`lcpower._lattice_np.kernel`) and passes its :class:`VectorOps` to
-:func:`normalize`, :func:`norm_max`, :func:`rayleigh`,
-:func:`phase_aligned` and :func:`weakly_converged`, which keep the control
-flow, the checks and the single-series steps for both.  The Python kernel
-serves small matrices and :mod:`lcpower.linalg`, and it is the reference
-of the numpy one.
+:data:`PYTHON` here, and :mod:`lcpower._lattice_np`, convolutions on a
+dense numpy grid that clean up only where a value is read, so that they
+agree with this kernel within stated error bounds, not bit for bit.
+``solve`` picks one of them per solve (:func:`lcpower._lattice_np.kernel`)
+and passes its :class:`VectorOps` to :func:`normalize`, :func:`norm_max`,
+:func:`rayleigh`, :func:`phase_aligned` and :func:`weakly_converged`,
+which keep the control flow, the checks and the single-series steps for
+both.  The Python kernel serves small matrices and :mod:`lcpower.linalg`,
+and it is the reference of the numpy one.
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ The matrix action, the sums of products behind the l2 norm and the
 Rayleigh quotient, the scaling and truncation of a vector, the leading
 terms the max norm compares, the constant coefficients of the phase
 alignment and the per-entry semi-norms of the stopping check and the
-residual run on numpy (:mod:`lcpower._lattice_np`) when the matrix has at
-least ``_lattice_np.MIN_PAIRS`` stored entries, with the same result bits
-as the Python kernel; the iterates then stay numpy vectors from step to
-step and in the trace.  A start vector that loses its dominant component
+residual run on a dense numpy grid (:mod:`lcpower._lattice_np`) when the
+matrix has at least ``_lattice_np.MIN_PAIRS`` stored entries, within
+stated error bounds of the Python kernel; the iterates then stay numpy
+vectors from step to step and in the trace.  A start vector that loses its dominant component
 gets one restart from the eigenvector the constant-part power iteration
 converged to (see :func:`solve`).  For a real constant-part matrix, mu1
 and that eigenvector are real (:func:`_estimate_dominant`), so the loop
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -200,9 +201,9 @@ def _power_complex(B: np.ndarray, iters: int, tol: float, seed: int):
     ||B x_k - mu_k x_k|| are kept because their decay rate is the
     |mu2 / mu1| dominance diagnostic.
     """
-    n = B.shape[0]
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    rng = random.Random(seed)
+    x = np.array([complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                  for _ in range(B.shape[0])])
     x = x / np.linalg.norm(x)
     mu = 0j
     residuals = []
@@ -367,11 +368,11 @@ def _start_vector(cfg: SolverConfig, n: int, dominant=None) -> LCVector:
     elif start == "ones":
         values = [1.0] * n
     else:
-        rng = np.random.default_rng(cfg.seed)
+        rng = random.Random(cfg.seed)
         values = []
         for _ in range(n):
             while True:  # uniform on the complex unit disk
-                re, im = rng.uniform(-1.0, 1.0, 2)
+                re, im = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
                 if re * re + im * im <= 1.0:
                     break
             values.append(complex(re, im))

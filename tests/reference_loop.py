@@ -1,6 +1,7 @@
 """The series kernels and the power-iteration loop on ``Fraction``
 exponents, kept as the reference that :mod:`lcpower._lattice` must match
-bit for bit.
+bit for bit (the numpy kernel, :mod:`lcpower._lattice_np`, matches it
+within ``tol``: see ``tests/test_lattice.py``).
 
 These are the sum, negation, order comparison, semi-norm, ``eq_up_to``
 and coefficient-wise parts of :mod:`lcpower.core`, its product, inverse,

@@ -1,6 +1,8 @@
 """Unit tests for the power-iteration eigensolver."""
 
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -419,3 +421,20 @@ class TestPolyRoot:
         assert res.converged
         assert res.poly_residual < 1e-9
         assert eq_up_to(res.eigenvalue, largest_root(), 5, 1e-8)
+
+
+def test_solve_loads_no_numpy_random():
+    """The start vectors and the constant-part power iteration draw from
+    the standard library's ``random``: a fresh interpreter that solves with
+    the ``ones`` and the ``random:3`` start never loads ``numpy.random``."""
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from lcpower.solver import SolverConfig, solve\n"
+            "from lcpower.textio import parse_matrix\n"
+            "A = parse_matrix('2 + t; 1\\n1; 1')\n"
+            "for start in ('ones', 'random:3'):\n"
+            "    solve(A, SolverConfig(truncation=Fraction(3), start=start))\n"
+            "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
