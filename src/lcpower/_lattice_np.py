@@ -218,12 +218,10 @@ def _sum_of_products(a, b, live):
     if len(a) > len(b):  # pad the shorter factor's side
         a, b = b, a
     a, b = a[:, live], b[:, live]
-    if a.shape[1] < 2:
-        return _convolve(a, b).sum(axis=1)
     m, M = len(a), len(b)
     skewed = np.zeros((m, M + m), np.result_type(a, b))  # row j shifted by j
     skewed[:, :M] = a @ b.T
-    return skewed.ravel()[:m * (M + m - 1)].reshape(m, M + m - 1).sum(axis=0)
+    return skewed.ravel()[:m * (M + m - 1)].reshape(m, max(M + m - 1, 0)).sum(axis=0)
 
 
 def sum_abs_squares(v):
@@ -287,10 +285,12 @@ def diff_semi_norms(a, b, r: int, D: int):
     tops = mags.max(axis=0, initial=0.0)
     keep = mags > np.maximum(EPS_REL * tops, EPS_FLOOR)
     norms = np.where(keep, mags, 0.0)[:_upto(base, g, r)].max(axis=0, initial=0.0)
-    for norm, finite, bound in zip(norms.tolist(), np.isfinite(tops).tolist(),
-                                   np.minimum(x.bounds, y.bounds).tolist()):
+    by_abs = (np.isfinite(diff) & np.isinf(mags)).any(axis=0).tolist()  # add's abs raises first
+    for norm, finite, abs_raises, bound in zip(norms.tolist(), np.isfinite(tops).tolist(), by_abs,
+                                               np.minimum(x.bounds, y.bounds).tolist()):
         if not finite:
-            raise ValueError("coefficient overflow in addition")
+            raise (OverflowError("absolute value too large") if abs_raises
+                   else ValueError("coefficient overflow in addition"))
         _lattice.semi_norm(((), INF if bound == INF else int(bound)), r, D)  # raises above it
         yield norm
 

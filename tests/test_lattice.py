@@ -26,7 +26,7 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcpower import _lattice as lk
@@ -96,14 +96,25 @@ def same(reference, kernel):
         assert type(info.value) is type(exc)
         assert str(info.value) == str(exc)
         return
-    assert fingerprint(kernel()) == fingerprint(expected)
+    assert fingerprint(_succeeding(kernel)) == fingerprint(expected)
+
+
+def _succeeding(thunk):
+    """``thunk()``, which must return: an exception fails the test, even
+    inside a caller that suppresses the loop's errors."""
+    try:
+        return thunk()
+    except Exception as exc:
+        pytest.fail(f"{exc!r} where a result was due")
 
 
 def _failure(exc):
     """What an exception reports.  A coefficient that leaves the float
     range is one failure, whether ``abs`` meets it first (``OverflowError``)
     or a check for a non-finite sum (``ValueError``): which one comes first
-    depends on the order of the sums."""
+    depends on the order of the sums.  In ``ACTION_CASES["abs-overflows"]``
+    ``_lattice.matvec`` meets a product whose magnitude overflows before it
+    adds, and the numpy kernel a row sum with an infinite part."""
     overflow = isinstance(exc, OverflowError) or (
         type(exc) is ValueError and "overflow" in str(exc))
     return "overflow" if overflow else type(exc)
@@ -146,20 +157,24 @@ def close(reference, kernel, tol, window=None):
     counts as the kernel's.
 
     The Python kernel also overflows on terms above a result's bound,
-    which it then discards, and the numpy kernel keeps no key there.
-    So where the reference overflows, the thunk ``window`` takes its place:
-    the reference on the inputs without the terms that reach only keys
-    above the numpy result's bound."""
+    which it then discards, and the numpy kernel computes no key there.
+    So where the reference overflows and the kernel returns, the thunk
+    ``window`` takes the reference's place and must return: the reference
+    on the inputs without the terms that reach only keys above the kernel
+    result's bound."""
     try:
         expected = reference()
     except Exception as exc:  # the kernel must fail the same way
-        if window is not None and _failure(exc) == "overflow":
-            return close(window, kernel, tol)
-        with pytest.raises(Exception) as info:
-            _read(kernel())
-        assert _failure(info.value) == _failure(exc)
+        try:
+            got = _read(kernel())
+        except Exception as failure:
+            assert _failure(failure) == _failure(exc)
+            return
+        assert window is not None and _failure(exc) == "overflow", (
+            f"the kernel returned where the reference raised {exc!r}")
+        _assert_close(_succeeding(window), got, tol)
         return
-    _assert_close(expected, _read(kernel()), tol)
+    _assert_close(expected, _succeeding(lambda: _read(kernel())), tol)
 
 
 def lattice(*items, window=None):
@@ -578,8 +593,21 @@ def _cleaned(v):
     return tuple(lk.add(e, lk.ZERO) for e in v)
 
 
+class _Drawn:
+    """``st.data()`` in an explicit example: every draw gives ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, _strategy):
+        return self.value
+
+
 @SLOW
 @given(matrix_and_vector(max_n=4), st.data())
+# a factor whose only term lies below EPS_FLOOR still bounds the product at
+# its key 0: the changed entry puts 1e-291 at key 1
+@example(((((((0, 1 + 0j),), 0),),), ((((0, 1e-301 + 0j),), INF),)), _Drawn([1e10 + 0j]))
 def test_matvec_bound(case, data):
     """Changing every input above its bound does not change the product on
     the bound it claims, on either kernel.  Both runs add the same
@@ -709,12 +737,23 @@ def test_numpy_loop_step(case, trunc, norm_kind):
     """Two steps of the loop on the numpy kernel, passing its vectors from
     operation to operation without converting them: the matrix action of
     the action, the normalization, and the Rayleigh quotient and phase
-    alignment of the normalized vector.  Each operation checks its result
-    against its Python twin on the same inputs, as stored (``_checking``).
-    The chains of the two kernels are not compared as wholes: a loop check
-    (lost dominance, a vanishing norm) can decide differently on a value
-    within the cleanup tolerance, which the Python kernel takes relative to
-    terms above a result's bound."""
+    alignment of the normalized vector.  Each operation checks itself
+    against its Python twin on its inputs as stored (``_checking``),
+    failures included: an operation that raises where its twin returns
+    fails the test, though the chain stops quietly at a loop check or an
+    overflow that both kernels meet.
+
+    The chains of the two kernels are not compared as wholes.  The Python
+    kernel cleans up every intermediate, relative to terms above a result's
+    bound or a later truncation too, the numpy kernel only what it reads,
+    and a loop check, a tie verdict or a bound can turn on a term within
+    the cleanup tolerance, either way.  So ``(0.05 t^-3 - 1e11)^2`` keeps
+    ``0.0025 t^-6`` on numpy alone, and the max-normalized vector's
+    ``t^-3`` term then fails the Rayleigh quotient; a row of
+    ``matvec(M, ax)`` that ``_lattice`` cleans against a key above its
+    clamp makes the quotient fail on Python alone; and a key-0 term at
+    ``EPS_REL`` of a key-2 term, dropped by ``_lattice`` before the
+    truncation at 0, changes the normalized vector and its tie verdict."""
     M, x = tuple(map(_cleaned, case[0])), _cleaned(case[1])
     action, ops = _checking(M)
     with contextlib.suppress(lk.LCError, ArithmeticError, ValueError):
