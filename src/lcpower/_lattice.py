@@ -17,6 +17,17 @@ keys and accept any exactly ordered type, e.g. ``Fraction``.  Nothing
 here imports the rest of the package apart from :mod:`lcpower.errors`.
 A value that would leave the lattice raises :class:`LatticeError`.
 
+Coefficients: in a solve's loop a real coefficient is a ``float`` and any
+other one a ``complex``; :func:`lcpower.solver.solve` converts its lattice
+matrix and start vector so, and :meth:`lcpower.core.Lattice.to_number`
+converts every coefficient back to ``complex``.  Arithmetic on floats
+gives the real parts that it gives on ``complex(c, 0.0)``, and a float
+that meets a complex is promoted to ``complex(c, 0.0)`` (Python 3.10 and
+3.11), so one code path serves both types with the same real parts.
+:func:`real_part` and :func:`imag_part` return ``complex`` coefficients
+and :func:`conjugate` keeps each one's type, so on the numbers of
+:mod:`lcpower.core`, which exposes them, all three return ``complex``.
+
 The loop's batched operations have two kernels: :func:`matvec` and
 :data:`PYTHON` here, and :mod:`lcpower._lattice_np`, convolutions on a
 dense numpy grid that clean up only where a value is read, so that they
@@ -63,6 +74,8 @@ def constant(x):
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError(f"non-finite coefficient {c} at exponent 0")
     c = 0j + c  # as from_terms accumulates it
+    if c.imag == 0.0:
+        c = c.real
     m = abs(c)
     return (((0, c),), INF) if m > max(EPS_REL * m, EPS_FLOOR) else ZERO
 
@@ -121,7 +134,7 @@ def mul(a, b):
     y = bb + ta[0][0]
     bound = x if x <= y else y
     if len(tb) == 1:  # the products land on distinct keys, in order
-        acc = {qa + lb: 0j + ca * tb[0][1] for qa, ca in ta if qa + lb <= bound}
+        acc = {qa + lb: 0.0 + ca * tb[0][1] for qa, ca in ta if qa + lb <= bound}
     else:
         acc = {}
         get = acc.get
@@ -133,7 +146,7 @@ def mul(a, b):
                 if qb > room:
                     break
                 q = qa + qb
-                acc[q] = get(q, 0j) + ca * cb
+                acc[q] = get(q, 0.0) + ca * cb
     if not acc:
         return (), bound
     mags = list(map(abs, acc.values()))
@@ -212,10 +225,13 @@ def _power(eps, alpha: float, scale, lead: int, kind: str):
     for q, _ in terms:
         h = math.gcd(h, q)
     f = [(q // h, c) for q, c in terms]
+    # either seed gives the same real parts, but a float seed slows each
+    # complex sum's first addition: seed as the first coefficient is typed
+    zero = 0.0 if type(f[0][1]) is float else 0j
     a1 = alpha + 1.0
-    g = [1.0 + 0j]
+    g = [1.0 + zero]
     for k in range(1, bound // h + 1):
-        s = 0j
+        s = zero
         for j, fj in f:
             if j > k:
                 break
@@ -268,7 +284,7 @@ def sqrt(a):
         return (), _half(a[1])
     half_lam, root_c, eps = _root_split(a)
     if not eps[0]:
-        return ((half_lam, complex(root_c)),), a[1] - half_lam
+        return ((half_lam, root_c),), a[1] - half_lam
     return _power(eps, 0.5, root_c, half_lam, "square root")
 
 
@@ -280,7 +296,7 @@ def rsqrt(a):
         raise ZeroDivisionError("inverse of zero")
     half_lam, root_c, eps = _root_split(a)
     if not eps[0]:
-        return ((-half_lam, complex(1.0 / root_c)),), a[1] - 3 * half_lam
+        return ((-half_lam, 1.0 / root_c),), a[1] - 3 * half_lam
     return _power(eps, -0.5, 1.0 / root_c, -half_lam, "inverse square root")
 
 
@@ -346,8 +362,11 @@ def scaled(v, s):
 def _add_product(acc, a, b):
     """``add(acc, mul(a, b))`` for an accumulator that starts at ``ZERO``
     and grows only by ``add``.  A product with an empty factor is ``ZERO``,
-    and adding it only repeats the accumulator's (idempotent) cleanup."""
-    return add(acc, mul(a, b)) if a[0] and b[0] else acc
+    and adding it, or adding any product to ``ZERO``, only repeats a
+    cleanup already done with the same threshold."""
+    if not (a[0] and b[0]):
+        return acc
+    return mul(a, b) if acc is ZERO else add(acc, mul(a, b))
 
 
 def matvec(A, x):
@@ -363,12 +382,15 @@ def matvec(A, x):
 
 
 def _sum_abs_squares(v):
-    """sum |v_i|^2 through the real and imaginary parts, so the result has
-    exactly real coefficients."""
+    """sum |v_i|^2, a complex entry through its real and imaginary parts,
+    so the result has exactly real coefficients."""
     acc = ZERO
     for e in v:
-        re, im = real_part(e), imag_part(e)
-        acc = _add_product(_add_product(acc, re, re), im, im)
+        if is_real(e):
+            acc = _add_product(acc, e, e)
+        else:
+            re, im = real_part(e), imag_part(e)
+            acc = _add_product(_add_product(acc, re, re), im, im)
     return acc
 
 
@@ -376,7 +398,7 @@ def rayleigh_numerator(u, au):
     """u* au = sum conj(u_i) au_i."""
     num = ZERO
     for u_i, au_i in zip(u, au):
-        num = _add_product(num, conjugate(u_i), au_i)
+        num = _add_product(num, u_i if is_real(u_i) else conjugate(u_i), au_i)
     return num
 
 

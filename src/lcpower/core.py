@@ -312,7 +312,7 @@ class Lattice:
     lcm of the exponent denominators of ``numbers`` (terms and finite
     bounds) and ``exponents``, and the factor 2 keeps the square root's
     ``lam/2`` on it.  Exponents converted back are shared through a
-    ``k -> Fraction`` cache."""
+    ``k -> Fraction`` cache, and coefficients come back ``complex``."""
 
     def __init__(self, numbers, exponents=()):
         dens = {q.denominator for q in exponents if q != INF}
@@ -348,7 +348,7 @@ class Lattice:
     def to_number(self, a) -> LCNumber:
         terms, b = a
         fraction = self.fraction
-        return LCNumber(tuple((fraction(k), c) for k, c in terms),
+        return LCNumber(tuple((fraction(k), complex(c)) for k, c in terms),
                         b if b == INF else fraction(b))
 
     def to_numbers(self, v):

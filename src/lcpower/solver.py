@@ -27,7 +27,8 @@ vectors from step to step and in the trace.  A start vector that loses its domin
 gets one restart from the eigenvector the constant-part power iteration
 converged to (see :func:`solve`).  For a real constant-part matrix, mu1
 and that eigenvector are real (:func:`_estimate_dominant`), so the loop
-on a real matrix runs on real coefficients.
+on a real matrix runs on real coefficients, held as floats (the coefficient
+rule of :mod:`lcpower._lattice`).
 """
 
 from __future__ import annotations
@@ -334,6 +335,13 @@ def power_step(A_norm: LCMatrix, x: LCVector, norm_kind: str, truncation
     return LCVector(lat.to_numbers(x_new)), tie
 
 
+def _real_floats(v):
+    """The numbers ``v`` on a lattice with every real coefficient a
+    ``float``, as the loop holds them (:mod:`lcpower._lattice`)."""
+    return tuple((tuple([(k, c.real if c.imag == 0.0 else c) for k, c in terms]), bound)
+                 if terms else (terms, bound) for terms, bound in v)
+
+
 def _on_lattice(A: LCMatrix, x, *exponents):
     """The lattice of a loop over ``A`` from ``x`` (with ``exponents`` on
     it too), and the matrix and the vector converted to it."""
@@ -445,6 +453,7 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     # one lattice per solve: the matrix (q0 is one of its exponents), the
     # start vector and the exponents the loop needs
     lat, A_lat, xs = _on_lattice(A, _start_vector(cfg, A.n), cfg.truncation, cfg.window)
+    A_lat, xs = tuple(map(_real_floats, A_lat)), _real_floats(xs)
     action, ops = _lattice_np.kernel(_normalized(A_lat, lat.key(q0), mu1))
     try:
         trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
@@ -452,7 +461,7 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
         # roundoff wiped out the start's dominant component (a start close
         # to another eigenvector); the restart's constant entries lie on
         # the lattice
-        xs = lat.vector(_start_vector(cfg, A.n, dominant))
+        xs = _real_floats(lat.vector(_start_vector(cfg, A.n, dominant)))
         trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
     last = trace.steps[-1]
     residual, rwin = _residual(lat, A_lat, x, last._nu, cfg.window)

@@ -13,7 +13,9 @@ against the same reference.  A solve-level test then checks that
 ``solve`` reproduces the reference loop byte for byte on the Python
 kernel.  The numpy kernel ``lcpower._lattice_np`` sums in another order
 and cleans up only where a value is read, so it is checked against the
-Python kernel with stated error bounds (``close``).
+Python kernel with stated error bounds (``close``).  The Python kernel
+gives the real parts it gives on ``complex(c, 0.0)`` coefficients also on
+``float`` ones, the type ``solve``'s loop holds real coefficients in.
 """
 
 import cmath
@@ -911,6 +913,108 @@ VECTOR_CASES = {
 @pytest.mark.parametrize("case", sorted(VECTOR_CASES))
 def test_numpy_vector_ops_cases(case):
     _close_vector_ops(*VECTOR_CASES[case])
+
+
+# -- float and complex coefficients ------------------------------------------------------
+
+
+def _typed(x, real):
+    """A number or nested tuples of numbers ``x`` with every real
+    coefficient made ``real(c.real)``: ``float`` as ``solve``'s loop holds
+    it, or ``complex`` with the imaginary part +0.0."""
+    if _is_number(x):
+        return tuple((k, real(c.real) if c.imag == 0.0 else c) for k, c in x[0]), x[1]
+    return tuple(_typed(e, real) for e in x)
+
+
+def _same_values(got, want):
+    """The same structure, keys and bounds; real parts bit for bit and
+    imaginary parts equal in value (so +0.0 and -0.0 count as equal)."""
+    if _is_number(want):
+        assert _is_number(got) and got[1] == want[1]
+        assert [k for k, _ in got[0]] == [k for k, _ in want[0]]
+        for (_, c), (_, d) in zip(got[0], want[0]):
+            assert repr(c.real) == repr(d.real) and c.imag == d.imag
+    elif isinstance(want, (tuple, list)):
+        assert isinstance(got, (tuple, list)) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_values(g, w)
+    else:
+        assert repr(got) == repr(want)
+
+
+def _same_on_both_types(op, *args):
+    """``op`` on float coefficients against ``op`` on complex ones: the same
+    values (``_same_values``), or the same exception type and message."""
+    try:
+        want = op(*_typed(args, complex))
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            op(*_typed(args, float))
+        assert str(info.value) == str(exc)
+        return
+    _same_values(_succeeding(lambda: op(*_typed(args, float))), want)
+
+
+def _positive_lead(a):
+    """``a`` with a positive real leading coefficient: a square root exists
+    on an even key."""
+    terms, bound = a
+    return ((((terms[0][0], complex(abs(terms[0][1].real) or 1.0)),) + terms[1:], bound)
+            if terms else a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(vector_op_inputs(st.one_of(vector_coefficients, st.sampled_from(real_coefficient_sets))),
+       matrix_and_vector(max_n=3, coeff_sets=(coefficients, *real_coefficient_sets)),
+       st.one_of(st.just(INF), st.integers(-3, 12)), st.sampled_from([1e-12, 1e-6, 1.0]))
+def test_float_coefficients_match_complex(case, action_case, trunc, tol):
+    """The loop holds a real coefficient as a ``float``; every operation
+    gives the values it gives on the same coefficient as ``complex(c, 0.0)``."""
+    u, au, s = case
+    a, b = s, au[0]
+    for op in (lk.mul, lk.add, lk.sub):
+        _same_on_both_types(op, a, b)
+    for x in (a, _positive_lead(a)):
+        for op in (lk.invert, lk.sqrt, lk.rsqrt, lk.magnitude):
+            _same_on_both_types(op, x)
+    _same_on_both_types(lk.matvec, *action_case)
+    _same_on_both_types(lk._sum_abs_squares, u)
+    _same_on_both_types(lk.rayleigh_numerator, u, au)
+    _same_on_both_types(lk.scaled, u, s)
+    for norm_kind in ("l2", "max"):
+        _same_on_both_types(lambda y: lk.normalize(y, norm_kind, trunc), u)
+    _same_on_both_types(lk.rayleigh, u, au)
+    with contextlib.suppress(lk.LCError, ArithmeticError, ValueError):
+        # as the loop calls it: on a normalized vector
+        _same_on_both_types(lk.rayleigh, lk.normalize(u, "l2", trunc)[0], au)
+    _same_on_both_types(lk.phase_aligned, u)
+    r = min([2, *(e[1] for e in (*u, *au, a, b))])  # a window every bound holds
+    _same_on_both_types(lambda x, y, r0, r1: lk.weakly_converged(x, y, r0, r1, r, tol, 1),
+                        u, au, a, b)
+
+
+_factors = st.one_of(coefficients, huge)
+
+
+@SLOW
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda g: st.tuples(
+    lattice_numbers(g, _factors), lattice_numbers(g, _factors), lattice_numbers(g, _factors))))
+@example(((((0, 1e200 + 0j),), INF), (((0, 1e200 + 0j),), INF), lk.ZERO))  # overflow
+@example(((((0, 1 + 0j), (1, 1e200 + 0j), (2, 1e300 + 0j)), INF),  # inf - inf: a NaN
+          (((0, -1e10 + 0j), (1, 1e200 + 0j), (2, 1 + 0j)), 2), lk.ZERO))
+@example((((), 2), (((0, 1 + 0j),), INF), lk.ZERO))  # an empty factor
+@example(((((0, 1 + 0j),), INF), (((0, 1 + 0j),), INF), ((), 2)))  # a sum that cancelled
+def test_add_product_is_the_sum_with_the_product(numbers):
+    """``_add_product(acc, a, b)`` is ``add(acc, mul(a, b))`` on cleaned
+    numbers.  On ``acc = ZERO`` it returns ``mul(a, b)`` itself: the sum
+    would only repeat the cleanup ``mul`` gave its product, with the same
+    threshold.  On an empty factor it returns ``acc``, whose cleanup the
+    sum would repeat."""
+    *pair, partial_sum = _cleaned(numbers)
+    for a, b in (pair, _typed(pair, float)):
+        for acc in (lk.ZERO, partial_sum):
+            same(lambda: lk.add(acc, lk.mul(a, b)), lambda: lk._add_product(acc, a, b))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Unit tests for the power-iteration eigensolver."""
 
+import math
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from lcpower.linalg import LCMatrix, LCVector, Polynomial, companion_matrix, pi_
 from lcpower.solver import (SolverConfig, estimate_dominant_complex,
                             poly_dominant_root, power_step, precondition, solve,
                             weakly_converged)
-from lcpower.textio import parse_matrix, parse_series
+from lcpower.textio import parse_matrix, parse_series, serialize_series
 from experiment import degree21_polynomial, largest_root
 import oracles
 import reference_loop
@@ -359,6 +360,69 @@ def test_complex_matrix_with_real_constant_part():
     mu1 = (1 + 11 ** 0.5) / 2
     assert res.mu1.imag == 0.0 and abs(res.mu1 - mu1) < 1e-12
     assert abs(res.eigenvalue[1] - 1j / (1 + 2 * (mu1 - 2) ** 2)) < 1e-9
+
+
+def _coefficient_types(*values):
+    """The types of every coefficient of the numbers, vectors and matrices
+    in ``values``."""
+    types = set()
+    for x in values:
+        if isinstance(x, core.LCNumber):
+            types.update(type(c) for _, c in x.terms)
+        else:  # a vector, a matrix's rows or a row
+            types.update(_coefficient_types(*(x.rows if isinstance(x, LCMatrix) else x)))
+    return types
+
+
+def test_public_coefficients_are_complex():
+    """Inside ``solve``'s loop a real coefficient is a ``float``; every
+    number that leaves it, and every ``core`` operation, holds ``complex``."""
+    A = parse_matrix("2 + t; 1 + 0.5*t^(1/2)\n1; 1")
+    cfg = SolverConfig(truncation=F(4))
+    res, trace = solve(A, cfg)
+    steps = [x for s in trace.steps for x in (s.vector, s.rho, s.estimate)]
+    A_norm, _q0, mu1 = precondition(A, cfg)
+    x, _tie = power_step(A_norm, LCVector([1.0, 1.0]).retruncated(F(4)), "l2", F(4))
+    a, monomial = core.from_terms([(0, 4.0), (1, 1.0)], 3), parse_series("4*t^2")
+    numbers = [f(y) for y in (a, monomial) for f in (core.sqrt, core.invert, core.real_part,
+                                                     core.imag_part, core.conjugate)]
+    assert _coefficient_types(res.eigenvalue, res.eigenvector, *steps, A_norm, x,
+                              *numbers) == {complex}
+    assert type(res.mu1) is complex and type(mu1) is complex
+
+
+def _matches_quadratic_formula(text, start):
+    A = parse_matrix(text)
+    cfg = SolverConfig(truncation=F(6), start=start)
+    res, _ = solve(A, cfg)
+    nu1, _nu2 = oracles.eig2x2_symbolic(A, 6)
+    assert res.converged
+    assert eq_up_to(res.eigenvalue, nu1, 6, cfg.tol)
+
+
+def test_real_matrix_from_a_complex_start():
+    """Float matrix coefficients meet the complex start vector of ``random:3``."""
+    _matches_quadratic_formula("2; t\nt; 1", "random:3")
+
+
+def test_complex_matrix_with_a_real_eigenvalue():
+    """A Hermitian matrix whose constant part is real: float and complex
+    coefficients in one entry, and a real eigenvalue, so the loop converges."""
+    _matches_quadratic_formula("2 + t; 1 + i*t\n1 - i*t; 1", "ones")
+
+
+def test_signed_zero_imaginary_parts_serialize_alike():
+    """Imaginary parts -0.0 (a conjugated real matrix) and +0.0 give the
+    loop the same float coefficients, hence the same output."""
+    A = parse_matrix("2 + t; -1 + 0.5*t^(1/2)\n-1; -1 + t")
+    A_conj = LCMatrix([[core.conjugate(e) for e in row] for row in A.rows])
+    assert any(math.copysign(1.0, c.imag) < 0 for row in A_conj.rows for e in row
+               for _, c in e.terms)
+    cfg = SolverConfig(truncation=F(4))
+    (res, _), (res_conj, _) = solve(A, cfg), solve(A_conj, cfg)
+    assert serialize_series(res_conj.eigenvalue) == serialize_series(res.eigenvalue)
+    assert ([serialize_series(e) for e in res_conj.eigenvector]
+            == [serialize_series(e) for e in res.eigenvector])
 
 
 _EXPONENTS = (F(1, 2), F(1), F(3, 2), F(2), F(3))
