@@ -18,8 +18,9 @@ here imports the rest of the package apart from :mod:`lcpower.errors`.
 A value that would leave the lattice raises :class:`LatticeError`.
 
 Coefficients: in a solve's loop a real coefficient is a ``float`` and any
-other one a ``complex``; :func:`lcpower.solver.solve` converts its lattice
-matrix and start vector so, and :meth:`lcpower.core.Lattice.to_number`
+other one a ``complex``.  Each kernel's ``laid`` (:class:`VectorOps`)
+applies this rule where the loop's matrix and start vectors enter it, and
+the numpy kernel's reads keep it; :meth:`lcpower.core.Lattice.to_number`
 converts every coefficient back to ``complex``.  Arithmetic on floats
 gives the real parts that it gives on ``complex(c, 0.0)``, and a float
 that meets a complex is promoted to ``complex(c, 0.0)`` (Python 3.10 and
@@ -347,6 +348,12 @@ def clamp(entries):
     return tuple(truncated(e, bound) for e in entries)
 
 
+def laid_vector(v):
+    """The numbers ``v`` with every real coefficient a ``float``."""
+    return tuple((tuple([(k, c.real if c.imag == 0.0 else c) for k, c in terms]), bound)
+                 for terms, bound in v)
+
+
 def truncated_vector(v, bound):
     return clamp([truncated(e, bound) for e in v])
 
@@ -420,8 +427,9 @@ def diff_semi_norms(a, b, r: int, D: int):
 
 
 class VectorOps(NamedTuple):
-    """The batched vector operations of the loop on one kernel."""
+    """The loop's batched vector operations on one kernel; ``laid`` gives its vector form."""
 
+    laid: Callable
     truncated: Callable
     retruncated: Callable
     sum_abs_squares: Callable
@@ -432,7 +440,7 @@ class VectorOps(NamedTuple):
     diff_semi_norms: Callable
 
 
-PYTHON = VectorOps(truncated_vector, retruncated_vector, _sum_abs_squares,
+PYTHON = VectorOps(laid_vector, truncated_vector, retruncated_vector, _sum_abs_squares,
                    rayleigh_numerator, scaled, constants, leading, diff_semi_norms)
 
 

@@ -14,6 +14,8 @@ a result differs from the Python kernel's by the terms its cleanup drops,
 each at most ``EPS_REL`` of an intermediate's largest magnitude, and by
 another summation order's roundoff.  Bounds are ``mul``'s, ``val`` being
 the first stored nonzero key.  :func:`kernel` picks the kernel per solve.
+The operations take :class:`Vector` s, which :data:`NUMPY`'s ``laid``
+makes of numbers; a real coefficient reads as a float, as in ``_lattice``.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ MIN_PAIRS = 10
 
 
 def kernel(M):
-    """``(x -> _lattice.matvec(M, x), vector ops)`` for one solve's loop."""
+    """``(x -> _lattice.matvec(M, x), vector ops)`` for one solve's loop, M laid out."""
     if sum(1 for row in M for a in row if a[0]) >= MIN_PAIRS:
         return MatrixAction(M), NUMPY
-    return partial(_lattice.matvec, M), _lattice.PYTHON
+    return partial(_lattice.matvec, tuple(map(_lattice.PYTHON.laid, M))), _lattice.PYTHON
 
 
 class Vector:
@@ -63,23 +65,18 @@ class Vector:
 
 
 def _layout(v) -> Vector:
-    """The numbers ``v`` as a :class:`Vector` on the gcd of their key offsets."""
+    """The numbers ``v`` as a :class:`Vector` on the gcd of their key offsets,
+    float64 where every coefficient is real (``_lattice.laid_vector``)."""
     bounds = np.array([float(b) for _, b in v])
-    terms = [(k, c, i) for i, (entry, _) in enumerate(v) for k, c in entry]
+    terms = [(k, c.real if c.imag == 0.0 else c, i) for i, (e, _) in enumerate(v) for k, c in e]
     if not terms:
         return Vector(np.zeros((0, len(v))), 0, 1, bounds)
     keys, coeffs, cols = map(np.array, zip(*terms))
-    base, coeffs = int(keys.min()), coeffs.astype(complex)
+    base = int(keys.min())
     g = int(np.gcd.reduce(keys - base)) or 1
-    # an imaginary part -0.0 (a conjugated or negated real) keeps its sign
-    real = not (coeffs.imag.any() or np.signbit(coeffs.imag).any())
-    arr = np.zeros(((int(keys.max()) - base) // g + 1, len(v)), float if real else complex)
-    arr[(keys - base) // g, cols] = coeffs.real if real else coeffs
+    arr = np.zeros(((int(keys.max()) - base) // g + 1, len(v)), coeffs.dtype)
+    arr[(keys - base) // g, cols] = coeffs
     return Vector(arr, base, g, bounds)
-
-
-def _laid(v) -> Vector:
-    return v if isinstance(v, Vector) else _layout(v)
 
 
 def _cleaned(arr):
@@ -93,11 +90,16 @@ def _cleaned(arr):
     return np.where(mags > np.maximum(EPS_REL * top, EPS_FLOOR), arr, 0)
 
 
+def _coefficients(values):
+    """The coefficients ``values`` as ``_lattice`` holds them, a real one as a float."""
+    return [c.real if c.imag == 0.0 else c for c in values.tolist()]
+
+
 def _number(column, base: int, g: int, bound):
     """The cleaned number of ``column`` on the keys ``base + g*slot``."""
     column = _cleaned(column)
     slots = np.flatnonzero(column)
-    return (tuple(zip((base + g * slots).tolist(), map(complex, column[slots].tolist()))),
+    return (tuple(zip((base + g * slots).tolist(), _coefficients(column[slots]))),
             INF if bound == INF else int(bound))
 
 
@@ -142,12 +144,6 @@ def _checked(arr):
     return arr
 
 
-def _cut(x: Vector, bound) -> Vector:
-    """``x`` clamped at ``bound``, where it must be finite."""
-    return Vector(_checked(x.arr[:_upto(x.base, x.g, bound)]), x.base, x.g,
-                  np.full(len(x), float(bound)))
-
-
 class MatrixAction:
     """``_lattice.matvec(M, x)`` on the grid: ``M``'s coefficients at each
     of its occupied key slots as one ``n x n`` block, for ``x @ block``."""
@@ -165,7 +161,6 @@ class MatrixAction:
         n = self._n
         if len(x) != n:
             raise DegenerateInputError(f"dimension mismatch: {n}x{n} vs {len(x)}")
-        x = _laid(x)
         bound, _live = _mul_bound(self._valuations, _valuations(x))
         g = _stride([x], self._g)
         r, base = self._g // g, self._base + x.base
@@ -175,18 +170,18 @@ class MatrixAction:
         with np.errstate(over="ignore", invalid="ignore"):
             for s, block in zip(self._slots, self._blocks):
                 y[s * r:s * r + len(x_arr)] += x_arr @ block
-        return _cut(Vector(y, base, g, np.empty(n)), bound)
+        return retruncated(Vector(y, base, g, np.empty(n)), bound)
 
 
-def truncated(y, bound):
+def truncated(x: Vector, bound) -> Vector:
     """:func:`lcpower._lattice.truncated_vector`: a slice."""
-    x = _laid(y)
     return retruncated(x, min(bound, x.bounds.min()))
 
 
-def retruncated(v, bound):
-    """:func:`lcpower._lattice.retruncated_vector`: a slice."""
-    return _cut(_laid(v), bound)
+def retruncated(x: Vector, bound) -> Vector:
+    """:func:`lcpower._lattice.retruncated_vector`: a slice, which must be finite."""
+    return Vector(_checked(x.arr[:_upto(x.base, x.g, bound)]), x.base, x.g,
+                  np.full(len(x), float(bound)))
 
 
 def _products(x: Vector, y: Vector, combine):
@@ -224,40 +219,35 @@ def _sum_of_products(a, b, live):
     return skewed.ravel()[:m * (M + m - 1)].reshape(m, max(M + m - 1, 0)).sum(axis=0)
 
 
-def sum_abs_squares(v):
+def sum_abs_squares(x: Vector):
     """:func:`lcpower._lattice._sum_abs_squares`: the squares of the real
     and imaginary parts, each a series valid to ``T_i + val(part)``."""
-    x = _laid(v)
     if np.iscomplexobj(x.arr):
         x = Vector(np.hstack((x.arr.real, x.arr.imag)), x.base, x.g, np.tile(x.bounds, 2))
     return _number(*_products(x, x, _sum_of_products))
 
 
-def rayleigh_numerator(u, au):
+def rayleigh_numerator(u: Vector, au: Vector):
     """:func:`lcpower._lattice.rayleigh_numerator`: ``sum conj(u_i) au_i``."""
-    return _number(*_products(_laid(u), _laid(au),
-                              lambda a, b, live: _sum_of_products(a.conj(), b, live)))
+    return _number(*_products(u, au, lambda a, b, live: _sum_of_products(a.conj(), b, live)))
 
 
-def scaled(v, s):
-    """:func:`lcpower._lattice.scaled`: each entry of ``v`` times ``s``."""
-    x = _laid(v)
+def scaled(x: Vector, s) -> Vector:
+    """:func:`lcpower._lattice.scaled`: each entry of ``x`` times the number ``s``."""
     out, base, g, bound = _products(x, _layout((s,)), lambda a, b, _live: _convolve(a, b))
-    return _cut(Vector(out, base, g, x.bounds), bound)
+    return retruncated(Vector(out, base, g, x.bounds), bound)
 
 
-def constants(v):
-    """:func:`lcpower._lattice.constants`: the cleaned coefficients at key 0."""
-    x = _laid(v)
+def constants(x: Vector):
+    """:func:`lcpower._lattice.constants`: the cleaned key-0 coefficients, ``0j`` where none."""
     slot, off = divmod(-x.base, x.g)
     if off or not 0 <= slot < len(x.arr):
         return [0j] * len(x)
-    return list(map(complex, _cleaned(x.arr)[slot].tolist()))
+    return [c or 0j for c in _coefficients(_cleaned(x.arr)[slot])]
 
 
-def leading(v):
+def leading(x: Vector):
     """:func:`lcpower._lattice.leading` of the cleaned entries."""
-    x = _laid(v)
     arr = _cleaned(x.arr)
     if not len(arr):
         return [(1, 0, 0.0)] * len(x)
@@ -268,10 +258,9 @@ def leading(v):
         arr[first, np.arange(len(x))].tolist())]
 
 
-def diff_semi_norms(a, b, r: int, D: int):
+def diff_semi_norms(x: Vector, y: Vector, r: int, D: int):
     """:func:`lcpower._lattice.diff_semi_norms` of the cleaned differences,
     read lazily: a reader that stops early meets no later entry's error."""
-    x, y = _laid(a), _laid(b)
     laid = [v for v in (x, y) if len(v.arr)]
     base = min((v.base for v in laid), default=0)
     g = _stride(laid, *(v.base - base for v in laid))
@@ -295,5 +284,5 @@ def diff_semi_norms(a, b, r: int, D: int):
         yield norm
 
 
-NUMPY = _lattice.VectorOps(truncated, retruncated, sum_abs_squares, rayleigh_numerator, scaled,
-                           constants, leading, diff_semi_norms)
+NUMPY = _lattice.VectorOps(_layout, truncated, retruncated, sum_abs_squares, rayleigh_numerator,
+                           scaled, constants, leading, diff_semi_norms)

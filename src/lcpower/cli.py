@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     except DominanceUncertainError as exc:
         print(f"dominance uncertain: {exc}", file=sys.stderr)
         return EXIT_DOMINANCE
-    except (LCError, OSError, ValueError, ZeroDivisionError) as exc:
+    except (LCError, OSError, ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

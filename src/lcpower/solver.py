@@ -23,17 +23,19 @@ alignment and the per-entry semi-norms of the stopping check and the
 residual run on a dense numpy grid (:mod:`lcpower._lattice_np`) when the
 matrix has at least ``_lattice_np.MIN_PAIRS`` stored entries, within
 stated error bounds of the Python kernel; the iterates then stay numpy
-vectors from step to step and in the trace.  A start vector that loses its dominant component
-gets one restart from the eigenvector the constant-part power iteration
-converged to (see :func:`solve`).  For a real constant-part matrix, mu1
-and that eigenvector are real (:func:`_estimate_dominant`), so the loop
-on a real matrix runs on real coefficients, held as floats (the coefficient
-rule of :mod:`lcpower._lattice`).
+vectors from step to step and in the trace.  The kernel lays out the
+matrix, and its ``laid`` the start vector.  A start vector that loses its
+dominant component gets one restart from the eigenvector the constant-part
+power iteration converged to (see :func:`solve`).  For a real
+constant-part matrix, mu1 and that eigenvector are real
+(:func:`_estimate_dominant`), so the loop on a real matrix runs on real
+coefficients, held as floats (the coefficient rule of :mod:`lcpower._lattice`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import random
 from dataclasses import dataclass, field
@@ -262,33 +264,37 @@ def _estimate_dominant(B, iters: int, tol: float, seed: int):
     real matrix is real (its conjugate is an eigenvalue of the same
     modulus), so ``mu1`` keeps its real part, and the vector is rotated
     so that its largest component is real and positive, then keeps its
-    real part."""
-    B = np.asarray(B, dtype=complex)
+    real part.  The iteration runs on B / 2^e, 2^e just above B's largest
+    real or imaginary part, so its norms stay in range; mu1 is scaled back."""
+    B = np.ascontiguousarray(B, dtype=complex)
     if not B.any():
         raise DegenerateInputError("zero constant-part matrix")
+    e = math.frexp(np.abs(B.view(float)).max())[1]  # the real and imaginary parts
+    B = np.ldexp(B.view(float), -e).view(complex)
     mu, v, ok, residuals = _power_complex(B, iters, tol, seed)
+    mu1 = complex(math.ldexp(mu.real, e), math.ldexp(mu.imag, e))
     if not ok or abs(mu) <= 1e-300:
         raise DominanceUncertainError(
             "power iteration on the constant-part matrix did not converge; "
-            "no strictly dominant eigenvalue certified", estimate=complex(mu))
+            "no strictly dominant eigenvalue certified", estimate=mu1)
     n = B.shape[0]
     if n > 1:
         off = np.linalg.norm(B - mu * np.eye(n)) / abs(mu)
         if off <= 1e-8:
             raise DominanceUncertainError(
                 "matrix is numerically a multiple of the identity; "
-                "all eigenvalues tied", estimate=complex(mu), ratio=1.0)
+                "all eigenvalues tied", estimate=mu1, ratio=1.0)
     ratio = _decay_ratio(residuals, abs(mu))
     if ratio > DOMINANCE_RATIO_MAX:
         raise DominanceUncertainError(
             f"second eigenvalue too close in modulus (ratio {ratio:.6f})",
-            estimate=complex(mu), ratio=ratio)
+            estimate=mu1, ratio=ratio)
     if not B.imag.any():
         # the complex random start leaves roundoff in the imaginary parts
-        mu = mu.real
+        mu1 = complex(mu1.real)
         k = np.argmax(abs(v))
         v = (v * (abs(v[k]) / v[k])).real
-    return complex(mu), float(ratio), v
+    return mu1, float(ratio), v
 
 
 # -- preprocessing ----------------------------------------------------------------
@@ -333,13 +339,6 @@ def power_step(A_norm: LCMatrix, x: LCVector, norm_kind: str, truncation
     lat, M, xs = _on_lattice(A_norm, x, truncation)
     x_new, tie = _lattice.normalize(_lattice.matvec(M, xs), norm_kind, lat.key(truncation))
     return LCVector(lat.to_numbers(x_new)), tie
-
-
-def _real_floats(v):
-    """The numbers ``v`` on a lattice with every real coefficient a
-    ``float``, as the loop holds them (:mod:`lcpower._lattice`)."""
-    return tuple((tuple([(k, c.real if c.imag == 0.0 else c) for k, c in terms]), bound)
-                 if terms else (terms, bound) for terms, bound in v)
 
 
 def _on_lattice(A: LCMatrix, x, *exponents):
@@ -453,15 +452,14 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     # one lattice per solve: the matrix (q0 is one of its exponents), the
     # start vector and the exponents the loop needs
     lat, A_lat, xs = _on_lattice(A, _start_vector(cfg, A.n), cfg.truncation, cfg.window)
-    A_lat, xs = tuple(map(_real_floats, A_lat)), _real_floats(xs)
     action, ops = _lattice_np.kernel(_normalized(A_lat, lat.key(q0), mu1))
     try:
-        trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
+        trace, k, converged, x, tie = _iterate(lat, action, ops, ops.laid(xs), cfg, mu1, q0)
     except (LostDominanceError, DegenerateInputError):
         # roundoff wiped out the start's dominant component (a start close
         # to another eigenvector); the restart's constant entries lie on
         # the lattice
-        xs = _real_floats(lat.vector(_start_vector(cfg, A.n, dominant)))
+        xs = ops.laid(lat.vector(_start_vector(cfg, A.n, dominant)))
         trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
     last = trace.steps[-1]
     residual, rwin = _residual(lat, A_lat, x, last._nu, cfg.window)

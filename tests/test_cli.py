@@ -121,6 +121,14 @@ class TestExitCodes:
         m.write_text("0; 0\n0; 0\n")
         assert run_cli(["solve-matrix", m, "--truncation", "6"]) == cli.EXIT_INTERNAL
 
+    @pytest.mark.parametrize("command", [["solve-matrix", "--truncation", "2"], ["gershgorin"]])
+    def test_coefficient_overflow(self, tmp_path, command, capsys):
+        # the t coefficient's magnitude overflows where abs() meets it
+        m = tmp_path / "huge.txt"
+        m.write_text("2 + (1.5e308+1.5e308i)*t; 1\n1; 1\n")
+        assert run_cli([*command, m]) == cli.EXIT_INTERNAL
+        assert "absolute value too large" in capsys.readouterr().err
+
     def test_missing_truncation(self, tmp_path, matrix_file, capsys):
         assert run_cli(["solve-matrix", matrix_file]) == cli.EXIT_PARSE
 

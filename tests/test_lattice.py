@@ -13,9 +13,12 @@ against the same reference.  A solve-level test then checks that
 ``solve`` reproduces the reference loop byte for byte on the Python
 kernel.  The numpy kernel ``lcpower._lattice_np`` sums in another order
 and cleans up only where a value is read, so it is checked against the
-Python kernel with stated error bounds (``close``).  The Python kernel
-gives the real parts it gives on ``complex(c, 0.0)`` coefficients also on
-``float`` ones, the type ``solve``'s loop holds real coefficients in.
+Python kernel with stated error bounds (``close``).  Its operations take
+its own vectors only, so the tests lay out their inputs with
+``NUMPY.laid``, and with ``PYTHON.laid`` where the Python twin's result is
+compared bit for bit (``same``).  The Python kernel gives the real parts
+it gives on ``complex(c, 0.0)`` coefficients also on ``float`` ones, the
+type ``solve``'s loop holds real coefficients in.
 """
 
 import cmath
@@ -39,6 +42,7 @@ from lcpower.linalg import LCMatrix, LCVector
 from lcpower.solver import SolverConfig, solve
 from lcpower.textio import parse_matrix, parse_series, serialize_series
 import reference_loop
+from experiment import degree21_polynomial
 from randgen import random_dominated_2x2
 
 FAST = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -120,6 +124,10 @@ def _failure(exc):
     overflow = isinstance(exc, OverflowError) or (
         type(exc) is ValueError and "overflow" in str(exc))
     return "overflow" if overflow else type(exc)
+
+
+# each kernel's operations take vectors in the form its ``laid`` gives them
+on_python, on_numpy = lk.PYTHON.laid, lnp.NUMPY.laid
 
 
 def _read(x):
@@ -473,7 +481,7 @@ def _cut(a, B, partners):
 def _matvec_window(M, x):
     """``close``'s ``window`` for ``matvec(M, x)``."""
     def window():
-        B = _bound_of(_read(lnp.MatrixAction(M)(x)))
+        B = _bound_of(_read(lnp.MatrixAction(M)(on_numpy(x))))
         return lk.matvec(tuple(tuple(_cut(a, B, [e]) for a, e in zip(row, x)) for row in M),
                          tuple(_cut(e, B, [row[j] for row in M]) for j, e in enumerate(x)))
     return window
@@ -482,19 +490,19 @@ def _matvec_window(M, x):
 def _sum_abs_squares_window(u):
     """``close``'s ``window`` for ``sum |u_i|^2``: each real and imaginary
     part cut against itself, and summed as a vector of real parts."""
-    B = _bound_of(lnp.sum_abs_squares(u))
+    B = _bound_of(lnp.sum_abs_squares(on_numpy(u)))
     parts = [p for e in u for p in (lk.real_part(e), lk.imag_part(e))]
     return lk._sum_abs_squares(tuple(_cut(p, B, [p]) for p in parts))
 
 
 def _rayleigh_window(u, au):
-    B = _bound_of(lnp.rayleigh_numerator(u, au))
+    B = _bound_of(lnp.rayleigh_numerator(on_numpy(u), on_numpy(au)))
     return lk.rayleigh_numerator(tuple(_cut(a, B, [b]) for a, b in zip(u, au)),
                                  tuple(_cut(b, B, [a]) for a, b in zip(u, au)))
 
 
 def _scaled_window(u, s):
-    B = _bound_of(_read(lnp.scaled(u, s)))
+    B = _bound_of(_read(lnp.scaled(on_numpy(u), s)))
     return lk.scaled(tuple(_cut(e, B, [s]) for e in u), _cut(s, B, u))
 
 
@@ -504,8 +512,8 @@ def test_numpy_matvec(case):
     M, x = case
     action = lnp.MatrixAction(M)
     tol = _action_tolerance(M, x)
-    close(lambda: lk.matvec(M, x), lambda: action(x), tol, _matvec_window(M, x))
-    close(lambda: lk.matvec(M, x[1:]), lambda: action(x[1:]), tol)
+    close(lambda: lk.matvec(M, x), lambda: action(on_numpy(x)), tol, _matvec_window(M, x))
+    close(lambda: lk.matvec(M, x[1:]), lambda: action(on_numpy(x[1:])), tol)
 
 
 def _number(*terms, bound=INF):
@@ -544,9 +552,7 @@ ACTION_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ACTION_CASES))
 def test_numpy_matvec_cases(case):
-    M, x = ACTION_CASES[case]
-    close(lambda: lk.matvec(M, x), lambda: lnp.MatrixAction(M)(x), _action_tolerance(M, x),
-          _matvec_window(M, x))
+    _close_matvec(*ACTION_CASES[case])
 
 
 def test_matrix_action_selection():
@@ -626,7 +632,7 @@ def test_matvec_bound(case, data):
     # every coefficient any product or row sum can reach is at most S
     S = max(sum(_l1(a) * _l1(e) for a, e in zip(row, x2)) for row in M2)
     tol = 4 * n * (lk.EPS_REL * S + lk.EPS_FLOOR)
-    for kernel in (lk.matvec, lambda A, v: lnp.MatrixAction(A)(v)):
+    for kernel in (lk.matvec, lambda A, v: lnp.MatrixAction(A)(on_numpy(v))):
         try:
             before = kernel(M, x)
         except (ValueError, OverflowError):
@@ -692,8 +698,10 @@ def test_numpy_vector_ops(case, bound):
     u, au, s = case
     _close_vector_ops(u, au, s)
     u = _cleaned(u)  # as _lattice holds them: the read cleans nothing more
-    same(lambda: lk.truncated_vector(u, bound), lambda: lnp.truncated(u, bound))
-    same(lambda: lk.retruncated_vector(u, bound), lambda: lnp.retruncated(u, bound))
+    same(lambda: lk.truncated_vector(on_python(u), bound),
+         lambda: lnp.truncated(on_numpy(u), bound))
+    same(lambda: lk.retruncated_vector(on_python(u), bound),
+         lambda: lnp.retruncated(on_numpy(u), bound))
 
 
 def _close_vector_ops(u, au=None, s=None):
@@ -711,26 +719,27 @@ def _close_vector_ops(u, au=None, s=None):
 # the real and imaginary parts, each at most l1(u_i)^2.
 
 def _close_sum_abs_squares(u):
-    close(lambda: lk._sum_abs_squares(u), lambda: lnp.sum_abs_squares(u),
+    close(lambda: lk._sum_abs_squares(u), lambda: lnp.sum_abs_squares(on_numpy(u)),
           _cleanup_tolerance(4 * len(u) + 1, 1, 2 * sum(_size(e) * _size(e) for e in u)),
           lambda: _sum_abs_squares_window(u))
 
 
 def _close_rayleigh_numerator(u, au):
-    close(lambda: lk.rayleigh_numerator(u, au), lambda: lnp.rayleigh_numerator(u, au),
+    close(lambda: lk.rayleigh_numerator(u, au),
+          lambda: lnp.rayleigh_numerator(on_numpy(u), on_numpy(au)),
           _cleanup_tolerance(2 * len(u) + 1, 1,
                              sum(_size(a) * _size(b) for a, b in zip(u, au))),
           lambda: _rayleigh_window(u, au))
 
 
 def _close_scaled(u, s):
-    close(lambda: lk.scaled(u, s), lambda: lnp.scaled(u, s),
+    close(lambda: lk.scaled(u, s), lambda: lnp.scaled(on_numpy(u), s),
           _cleanup_tolerance(2, 1, max(map(_size, u)) * _size(s)), lambda: _scaled_window(u, s))
 
 
 def _close_matvec(M, x):
-    close(lambda: lk.matvec(M, x), lambda: lnp.MatrixAction(M)(x), _action_tolerance(M, x),
-          _matvec_window(M, x))
+    close(lambda: lk.matvec(M, x), lambda: lnp.MatrixAction(M)(on_numpy(x)),
+          _action_tolerance(M, x), _matvec_window(M, x))
 
 
 @SLOW
@@ -759,7 +768,7 @@ def test_numpy_loop_step(case, trunc, norm_kind):
     M, x = tuple(map(_cleaned, case[0])), _cleaned(case[1])
     action, ops = _checking(M)
     with contextlib.suppress(lk.LCError, ArithmeticError, ValueError):
-        ax = action(x)
+        ax = action(on_numpy(x))
         ops.truncated(ax, trunc)
         action(ax)
         y, _tie = lk.normalize(ax, norm_kind, trunc, ops)
@@ -769,13 +778,13 @@ def test_numpy_loop_step(case, trunc, norm_kind):
 
 def _raw(v):
     """The numbers of ``v`` as stored: a numpy vector's every nonzero
-    coefficient, without the cleanup of a read."""
+    coefficient, without the cleanup of a read, a real one a float."""
     if not isinstance(v, lnp.Vector):
         return v
     keys = (v.base + v.g * np.arange(len(v.arr))).tolist()
-    return tuple((tuple((k, complex(c)) for k, c in zip(keys, col) if c != 0),
-                  INF if b == INF else int(b))
-                 for col, b in zip(v.arr.T.tolist(), v.bounds.tolist()))
+    return on_python(tuple((tuple((k, c) for k, c in zip(keys, col) if c != 0),
+                            INF if b == INF else int(b))
+                           for col, b in zip(v.arr.T.tolist(), v.bounds.tolist())))
 
 
 def _checking(M):
@@ -792,10 +801,11 @@ def _checking(M):
         return run
 
     def cut(kernel_op, python_op):
-        return lambda v, b: same(lambda: python_op(v, b), lambda: _raw(kernel_op(v, b)))
+        return lambda v, b: same(lambda: python_op(v, b),
+                                 lambda: _raw(kernel_op(on_numpy(v), b)))
 
     def read(kernel_op, python_op):
-        return lambda v: same(lambda: python_op(_cleaned(v)), lambda: kernel_op(v))
+        return lambda v: same(lambda: python_op(_cleaned(v)), lambda: kernel_op(on_numpy(v)))
 
     return checked(action, lambda x: _close_matvec(M, x)), lnp.NUMPY._replace(
         truncated=checked(lnp.truncated, cut(lnp.truncated, lk.truncated_vector)),
@@ -856,11 +866,11 @@ def test_numpy_real_lane_matvec(case):
     M, x = case
     action = lnp.MatrixAction(M)
     tol = _action_tolerance(M, x)
-    close(lambda: lk.matvec(M, x), lambda: action(x), tol, _matvec_window(M, x))
-    close(lambda: lk.matvec(M, _rotated(x)), lambda: action(_rotated(x)), tol,
+    close(lambda: lk.matvec(M, x), lambda: action(on_numpy(x)), tol, _matvec_window(M, x))
+    close(lambda: lk.matvec(M, _rotated(x)), lambda: action(on_numpy(_rotated(x))), tol,
           _matvec_window(M, _rotated(x)))
     with contextlib.suppress(ValueError, OverflowError):
-        assert all(c.imag == 0.0 for terms, _ in action(x) for _, c in terms)
+        assert all(c.imag == 0.0 for terms, _ in action(on_numpy(x)) for _, c in terms)
 
 
 @FAST
@@ -873,7 +883,8 @@ def test_numpy_real_lane_vector_ops(case):
     _close_vector_ops(u, au, s)
     _close_vector_ops(u, _rotated(au), _rotated((s,))[0])
     with contextlib.suppress(ValueError, OverflowError):
-        for result in (lnp.rayleigh_numerator(u, au), *lnp.scaled(u, s)):
+        u_np = on_numpy(u)
+        for result in (lnp.rayleigh_numerator(u_np, on_numpy(au)), *lnp.scaled(u_np, s)):
             assert all(c.imag == 0.0 for _, c in result[0])
 
 
@@ -1046,29 +1057,23 @@ def loop_tail_inputs(draw):
     return tuple(a), tuple(b), draw(st.integers(-3, 18))
 
 
-def _on_numpy(v):
-    """``v`` as a tuple or as its laid-out ``lnp.Vector``."""
-    return st.sampled_from([v, lnp._layout(v)])
-
-
 @FAST
-@given(loop_tail_inputs(), st.data())
-def test_numpy_loop_tail_ops(case, data):
+@given(loop_tail_inputs())
+def test_numpy_loop_tail_ops(case):
     """``constants``, ``leading`` and ``diff_semi_norms`` on numpy against
-    their Python twins, on tuples and on ``Vector``s drawn as ``_lattice``
-    holds them: the reads give the same values, signed zeros included, and
-    the semi-norms agree (``close``) and fail from the same entry."""
+    their Python twins, on vectors drawn as ``_lattice`` holds them, each
+    laid out by its kernel: the reads give the same values, signed zeros
+    included, and the semi-norms agree (``close``) and fail from the same
+    entry."""
     a, b, r = _cleaned(case[0]), _cleaned(case[1]), case[2]
-    x, y = data.draw(_on_numpy(a)), data.draw(_on_numpy(b))
-    same(lambda: lk.constants(a), lambda: lnp.constants(x))
+    x, y = on_numpy(a), on_numpy(b)
+    same(lambda: lk.constants(on_python(a)), lambda: lnp.constants(x))
     same(lambda: lk.leading(a), lambda: lnp.leading(x))
     _close_loop_tail(a, b, x, y, r)
     close(lambda: lk.phase_aligned(a), lambda: lk.phase_aligned(x, lnp.NUMPY),
           _cleanup_tolerance(2, 1, max(map(_size, a), default=0.0)))
-    if a and b:  # one numpy vector, its entry converted alone
-        for i in (0, -1):
-            assert repr(lnp._layout(a)[i]) == repr(a[i])
-        _close_loop_tail(a, b, x, b, r)
+    for i in (0, -1) if a else ():  # an entry converted alone
+        assert repr(on_numpy(a)[i]) == repr(on_python(a)[i])
 
 
 def _close_loop_tail(a, b, x, y, r):
@@ -1118,13 +1123,13 @@ def margin_vectors(draw):
 
 
 @FAST
-@given(margin_vectors(), st.data())
-def test_numpy_norm_max_margins(v, data):
+@given(margin_vectors())
+def test_numpy_norm_max_margins(v):
     """The max norm and its normalization on numpy's ``leading`` against the
     Python kernel, at the 1e-12 tie margins."""
     v = _cleaned(v)
-    x = data.draw(_on_numpy(v))
-    same(lambda: lk.norm_max(v), lambda: lk.norm_max(x, lnp.NUMPY))
+    x = on_numpy(v)
+    same(lambda: lk.norm_max(on_python(v)), lambda: lk.norm_max(x, lnp.NUMPY))
     m, S, W = _recorded(lambda: lk.normalize(v, "max", 6))
     close(lambda: lk.normalize(v, "max", 6), lambda: lk.normalize(x, "max", 6, lnp.NUMPY),
           _cleanup_tolerance(m, W, S))
@@ -1133,12 +1138,18 @@ def test_numpy_norm_max_margins(v, data):
 def test_one_layout_per_vector(monkeypatch):
     """The numpy loop lays out each vector at most once per step: the
     operations pass their arrays on.  On ``companion21`` the only vector
-    laid out is the start vector; each step lays out at most two single
-    numbers, the inverse norm and the phase that scale the iterate.  And it
-    converts one vector back to terms, the result."""
+    laid out is the start vector, by ``NUMPY.laid``; each step lays out at
+    most two single numbers, the inverse norm and the phase that scale the
+    iterate.  And it converts one vector back to terms, the result."""
     layouts = []
     layout = lnp._layout
-    monkeypatch.setattr(lnp, "_layout", lambda v: layouts.append(len(v)) or layout(v))
+
+    def counted(v):
+        layouts.append(len(v))
+        return layout(v)
+
+    monkeypatch.setattr(lnp, "_layout", counted)
+    monkeypatch.setattr(lnp, "NUMPY", lnp.NUMPY._replace(laid=counted))
     built = []  # the vectors converted to terms (Vector.numbers)
     numbers = lnp.Vector.numbers.func
     monkeypatch.setattr(lnp.Vector, "numbers",
@@ -1149,6 +1160,26 @@ def test_one_layout_per_vector(monkeypatch):
     assert len(layouts) <= 3 * steps
     assert layouts.count(A.n) == 1
     assert len(built) <= 1
+
+
+def test_grid_solve_holds_floats(monkeypatch):
+    """The coefficient rule on the grid: the loop on the real companion
+    matrix of the degree-21 experiment holds every coefficient as a float,
+    in its float64 iterates, its Rayleigh quotients and the single-series
+    steps between grid operations."""
+    power_types = set()
+    power = lk._power
+
+    def typed(eps, alpha, scale, lead, kind):
+        power_types.update({type(c) for _, c in eps[0]} | {type(scale)})
+        return power(eps, alpha, scale, lead, kind)
+
+    monkeypatch.setattr(lk, "_power", typed)
+    _result, trace = solve(linalg.companion_matrix(degree21_polynomial()),
+                           SolverConfig(truncation=F(4)))
+    assert {s._xs.arr.dtype for s in trace.steps} == {np.dtype(float)}
+    assert {type(c) for s in trace.steps for _, c in s._rho[0]} == {float}
+    assert power_types == {float}
 
 
 # small terms next to a constant term of modulus 1-1.5: |v|^2 keeps its
@@ -1213,10 +1244,10 @@ def test_rayleigh_bound(kernel, case, data):
     u2 = tuple(_changed(data, e, small) for e in u)
     au2 = tuple(_changed(data, e, units) for e in au)
     try:
-        before = lk.rayleigh(u, au, ops)
+        before = lk.rayleigh(ops.laid(u), ops.laid(au), ops)
     except lk.LCError:  # e.g. the inverse of an unbounded series
         return
-    after = lk.rayleigh(u2, au2, ops)
+    after = lk.rayleigh(ops.laid(u2), ops.laid(au2), ops)
     n = len(u)
     S_s = sum(_l1(e) ** 2 for e in u2)
     S_n = sum(_l1(a) * _l1(b) for a, b in zip(u2, au2))
@@ -1243,8 +1274,8 @@ def test_normalize_bound(kernel, y, data):
     y = lk.clamp(y)
     trunc = y[0][1]
     y2 = tuple(_changed(data, e, small) for e in y)
-    before = lk.normalize(y, "l2", trunc, ops)[0]
-    after = lk.normalize(y2, "l2", trunc + 3, ops)[0]
+    before = lk.normalize(ops.laid(y), "l2", trunc, ops)[0]
+    after = lk.normalize(ops.laid(y2), "l2", trunc + 3, ops)[0]
     n = len(y)
     S_s = sum(_l1(e) ** 2 for e in y2)
     c = sum(abs(e[0][0][1]) ** 2 for e in y2)

@@ -96,6 +96,23 @@ class TestEstimateDominant:
         assert mu.imag == 0.0
         assert abs(mu - (1 + 11 ** 0.5) / 2) < 1e-9
 
+    def test_power_of_two_scaling_is_exact(self):
+        # the iteration runs on B / 2^e: B * 2^600 gives mu1 * 2^600 bit for bit
+        B = np.array([[2.0, 1.0], [0.5, -1.0]])
+        mu, ratio = estimate_dominant_complex(B, 500, 1e-12)
+        assert estimate_dominant_complex(np.ldexp(B, 600), 500, 1e-12) == (
+            complex(math.ldexp(mu.real, 600), 0.0), ratio)
+
+    @pytest.mark.parametrize("text, mu1", [("1e200 + t; 1\n1; 1", 1e200),
+                                           ("1e300 + t; 1e300\n1; 1", 1e300)])
+    def test_large_constant_part(self, text, mu1):
+        # the unscaled power iteration's norms overflow on these, a
+        # RuntimeWarning that the test configuration turns into an error
+        res, _ = solve(parse_matrix(text), SolverConfig(truncation=F(4)))
+        assert res.converged and type(res.mu1) is complex and res.mu1.imag == 0.0
+        assert abs(res.mu1 - mu1) <= 1e-12 * mu1
+        assert abs(res.eigenvalue[0] - mu1) <= 1e-12 * mu1
+
 
 class TestPrecondition:
     def cfg(self):
