@@ -18,16 +18,17 @@ here imports the rest of the package apart from :mod:`lcpower.errors`.
 A value that would leave the lattice raises :class:`LatticeError`.
 
 Coefficients: in a solve's loop a real coefficient is a ``float`` and any
-other one a ``complex``.  Each kernel's ``laid`` (:class:`VectorOps`)
-applies this rule where the loop's matrix and start vectors enter it, and
-the numpy kernel's reads keep it; :meth:`lcpower.core.Lattice.to_number`
-converts every coefficient back to ``complex``.  Arithmetic on floats
-gives the real parts that it gives on ``complex(c, 0.0)``, and a float
-that meets a complex is promoted to ``complex(c, 0.0)`` (Python 3.10 and
-3.11), so one code path serves both types with the same real parts.
-:func:`real_part` and :func:`imag_part` return ``complex`` coefficients
-and :func:`conjugate` keeps each one's type, so on the numbers of
-:mod:`lcpower.core`, which exposes them, all three return ``complex``.
+other one a ``complex`` (:func:`laid_coefficient`).  Each kernel's ``laid``
+(:class:`VectorOps`) applies this rule where the loop's matrix and start
+vectors enter the loop, and the numpy kernel's reads keep it;
+:meth:`lcpower.core.Lattice.to_number` converts every coefficient back to
+``complex``.  Arithmetic on floats gives the real parts that it gives on
+``complex(c, 0.0)``, and a float that meets a complex is promoted to
+``complex(c, 0.0)`` (Python 3.10 and 3.11), so one code path serves both
+types with the same real parts.  :func:`real_part` and :func:`imag_part`
+return ``complex`` coefficients and :func:`conjugate` keeps each one's
+type, so on the numbers of :mod:`lcpower.core`, which exposes them, all
+three return ``complex``.
 
 The loop's batched operations have two kernels: :func:`matvec` and
 :data:`PYTHON` here, and :mod:`lcpower._lattice_np`, convolutions on a
@@ -74,9 +75,7 @@ def constant(x):
     c = complex(x)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError(f"non-finite coefficient {c} at exponent 0")
-    c = 0j + c  # as from_terms accumulates it
-    if c.imag == 0.0:
-        c = c.real
+    c = laid_coefficient(0j + c)  # as from_terms accumulates it
     m = abs(c)
     return (((0, c),), INF) if m > max(EPS_REL * m, EPS_FLOOR) else ZERO
 
@@ -348,9 +347,14 @@ def clamp(entries):
     return tuple(truncated(e, bound) for e in entries)
 
 
+def laid_coefficient(c):
+    """The coefficient rule: a real ``c`` as a ``float``, any other as it is."""
+    return c.real if c.imag == 0.0 else c
+
+
 def laid_vector(v):
-    """The numbers ``v`` with every real coefficient a ``float``."""
-    return tuple((tuple([(k, c.real if c.imag == 0.0 else c) for k, c in terms]), bound)
+    """The numbers ``v`` with every coefficient under :func:`laid_coefficient`."""
+    return tuple((tuple([(k, laid_coefficient(c)) for k, c in terms]), bound)
                  for terms, bound in v)
 
 

@@ -33,9 +33,9 @@ from .errors import DegenerateInputError
 MIN_PAIRS = 10
 
 
-def kernel(M):
-    """``(x -> _lattice.matvec(M, x), vector ops)`` for one solve's loop, M laid out."""
-    if sum(1 for row in M for a in row if a[0]) >= MIN_PAIRS:
+def kernel(M, ops=None):
+    """``(x -> matvec(M, x), vector ops)``, M laid out, on ``ops`` or the kernel M's size picks."""
+    if ops is NUMPY or ops is None and sum(1 for row in M for a in row if a[0]) >= MIN_PAIRS:
         return MatrixAction(M), NUMPY
     return partial(_lattice.matvec, tuple(map(_lattice.PYTHON.laid, M))), _lattice.PYTHON
 
@@ -66,9 +66,9 @@ class Vector:
 
 def _layout(v) -> Vector:
     """The numbers ``v`` as a :class:`Vector` on the gcd of their key offsets,
-    float64 where every coefficient is real (``_lattice.laid_vector``)."""
+    float64 where every coefficient is real (``_lattice.laid_coefficient``)."""
     bounds = np.array([float(b) for _, b in v])
-    terms = [(k, c.real if c.imag == 0.0 else c, i) for i, (e, _) in enumerate(v) for k, c in e]
+    terms = [(k, _lattice.laid_coefficient(c), i) for i, (e, _) in enumerate(v) for k, c in e]
     if not terms:
         return Vector(np.zeros((0, len(v))), 0, 1, bounds)
     keys, coeffs, cols = map(np.array, zip(*terms))
@@ -91,8 +91,8 @@ def _cleaned(arr):
 
 
 def _coefficients(values):
-    """The coefficients ``values`` as ``_lattice`` holds them, a real one as a float."""
-    return [c.real if c.imag == 0.0 else c for c in values.tolist()]
+    """The coefficients ``values`` under ``_lattice.laid_coefficient``."""
+    return list(map(_lattice.laid_coefficient, values.tolist()))
 
 
 def _number(column, base: int, g: int, bound):

@@ -16,20 +16,17 @@ division by mu1, every step and the residual call the kernels of
 :mod:`lcpower._lattice`, and only the result is converted back.  The trace
 keeps each step's iterate and Rayleigh quotient on that lattice and
 converts them, and composes the recovered eigenvalue, on first access.
-The matrix action, the sums of products behind the l2 norm and the
-Rayleigh quotient, the scaling and truncation of a vector, the leading
-terms the max norm compares, the constant coefficients of the phase
-alignment and the per-entry semi-norms of the stopping check and the
-residual run on a dense numpy grid (:mod:`lcpower._lattice_np`) when the
-matrix has at least ``_lattice_np.MIN_PAIRS`` stored entries, within
-stated error bounds of the Python kernel; the iterates then stay numpy
-vectors from step to step and in the trace.  The kernel lays out the
-matrix, and its ``laid`` the start vector.  A start vector that loses its
-dominant component gets one restart from the eigenvector the constant-part
-power iteration converged to (see :func:`solve`).  For a real
-constant-part matrix, mu1 and that eigenvector are real
-(:func:`_estimate_dominant`), so the loop on a real matrix runs on real
-coefficients, held as floats (the coefficient rule of :mod:`lcpower._lattice`).
+The loop's vector operations (:class:`lcpower._lattice.VectorOps`), the
+matrix action and the residual run on one kernel per solve: a dense numpy
+grid (:mod:`lcpower._lattice_np`) when the normalized matrix has at least
+``_lattice_np.MIN_PAIRS`` stored entries, within stated error bounds of
+the Python kernel.  The kernel lays out the matrix, and its ``laid`` the
+start vector; the iterates keep its form between steps and in the trace.
+A start vector that loses its dominant component gets one restart from
+the eigenvector the constant-part power iteration converged to (see
+:func:`solve`).  For a real constant-part matrix, mu1 and that eigenvector
+are real (:func:`_estimate_dominant`), so the loop on a real matrix runs
+on real coefficients, held as floats (the rule of :mod:`lcpower._lattice`).
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ import numpy as np
 
 from . import _lattice, _lattice_np, core
 from .core import LCNumber, Lattice, as_exponent
-from .errors import DegenerateInputError, DominanceUncertainError, LostDominanceError
+from .errors import DegenerateInputError, DomainError, DominanceUncertainError, LostDominanceError
 from .linalg import LCMatrix, LCVector, Polynomial, companion_matrix, min_valuation, poly_eval
 
 __all__ = [
@@ -265,31 +262,34 @@ def _estimate_dominant(B, iters: int, tol: float, seed: int):
     modulus), so ``mu1`` keeps its real part, and the vector is rotated
     so that its largest component is real and positive, then keeps its
     real part.  The iteration runs on B / 2^e, 2^e just above B's largest
-    real or imaginary part, so its norms stay in range; mu1 is scaled back."""
+    real or imaginary part, so its norms stay in range; mu1 is scaled back,
+    and a mu1 outside the float range raises :class:`DomainError`."""
     B = np.ascontiguousarray(B, dtype=complex)
     if not B.any():
         raise DegenerateInputError("zero constant-part matrix")
+    real = not B.imag.any()
     e = math.frexp(np.abs(B.view(float)).max())[1]  # the real and imaginary parts
     B = np.ldexp(B.view(float), -e).view(complex)
     mu, v, ok, residuals = _power_complex(B, iters, tol, seed)
-    mu1 = complex(math.ldexp(mu.real, e), math.ldexp(mu.imag, e))
+    with np.errstate(over="ignore"):
+        mu1 = complex(*np.ldexp((mu.real, mu.imag), e))  # exact, or inf out of range
     if not ok or abs(mu) <= 1e-300:
         raise DominanceUncertainError(
             "power iteration on the constant-part matrix did not converge; "
             "no strictly dominant eigenvalue certified", estimate=mu1)
-    n = B.shape[0]
-    if n > 1:
-        off = np.linalg.norm(B - mu * np.eye(n)) / abs(mu)
-        if off <= 1e-8:
-            raise DominanceUncertainError(
-                "matrix is numerically a multiple of the identity; "
-                "all eigenvalues tied", estimate=mu1, ratio=1.0)
+    if not np.isfinite(mu1):
+        raise DomainError(f"dominant constant-part eigenvalue of modulus {abs(mu):.6g} * 2^{e} "
+                          "leaves the float range")
+    if len(B) > 1 and np.linalg.norm(B - mu * np.eye(len(B))) / abs(mu) <= 1e-8:
+        raise DominanceUncertainError(
+            "matrix is numerically a multiple of the identity; "
+            "all eigenvalues tied", estimate=mu1, ratio=1.0)
     ratio = _decay_ratio(residuals, abs(mu))
     if ratio > DOMINANCE_RATIO_MAX:
         raise DominanceUncertainError(
             f"second eigenvalue too close in modulus (ratio {ratio:.6f})",
             estimate=mu1, ratio=ratio)
-    if not B.imag.any():
+    if real:
         # the complex random start leaves roundoff in the imaginary parts
         mu1 = complex(mu1.real)
         k = np.argmax(abs(v))
@@ -415,12 +415,12 @@ def _iterate(lat: Lattice, action, ops, y, cfg: SolverConfig, mu1: complex, q0: 
     return trace, k, converged, aligned, tie_any or aligned_tie
 
 
-def _residual(lat: Lattice, A, v, nu, window):
+def _residual(lat: Lattice, A, v, nu, window, ops):
     """The largest coefficient of ``A v - nu v`` on ``window``, lowered to
     the bounds of the differences, with ``A``, ``v`` and ``nu`` on the
-    lattice ``lat``, on the kernel the size of ``A`` selects:
+    lattice ``lat`` and ``v`` in the form of the loop's kernel ``ops``:
     (residual, window)."""
-    action, ops = _lattice_np.kernel(A)
+    action, _ = _lattice_np.kernel(A, ops)
     av, nuv = action(v), ops.scaled(v, nu)
     # both are clamped: every entry has the bound of the first
     rwin = min(lat.key(window), av[0][1], nuv[0][1])
@@ -462,7 +462,7 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
         xs = ops.laid(lat.vector(_start_vector(cfg, A.n, dominant)))
         trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
     last = trace.steps[-1]
-    residual, rwin = _residual(lat, A_lat, x, last._nu, cfg.window)
+    residual, rwin = _residual(lat, A_lat, x, last._nu, cfg.window, ops)
     result = EigenResult(
         eigenvalue=last.estimate, eigenvector=LCVector(lat.to_numbers(x)), q0=q0, mu1=mu1,
         iterations_used=k, converged=converged, pivot_tie_warning=tie,

@@ -129,6 +129,13 @@ class TestExitCodes:
         assert run_cli([*command, m]) == cli.EXIT_INTERNAL
         assert "absolute value too large" in capsys.readouterr().err
 
+    def test_eigenvalue_out_of_float_range(self, tmp_path, capsys):
+        # the constant part's dominant eigenvalue is 2e308
+        m = tmp_path / "huge.txt"
+        m.write_text("1e308 + t; 1e308\n1e308; 1e308\n")
+        assert run_cli(["solve-matrix", "--truncation", "2", m]) == cli.EXIT_INTERNAL
+        assert "leaves the float range" in capsys.readouterr().err
+
     def test_missing_truncation(self, tmp_path, matrix_file, capsys):
         assert run_cli(["solve-matrix", matrix_file]) == cli.EXIT_PARSE
 

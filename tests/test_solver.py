@@ -9,9 +9,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from lcpower import core, solver
+from lcpower import _lattice_np, core, solver
 from lcpower.core import constant, eq_up_to, semi_norm, shift_exponents, zero
-from lcpower.errors import (DegenerateInputError, DominanceUncertainError,
+from lcpower.errors import (DegenerateInputError, DomainError, DominanceUncertainError,
                             LostDominanceError)
 from lcpower.linalg import LCMatrix, LCVector, Polynomial, companion_matrix, pi_matrix
 from lcpower.solver import (SolverConfig, estimate_dominant_complex,
@@ -96,12 +96,25 @@ class TestEstimateDominant:
         assert mu.imag == 0.0
         assert abs(mu - (1 + 11 ** 0.5) / 2) < 1e-9
 
-    def test_power_of_two_scaling_is_exact(self):
-        # the iteration runs on B / 2^e: B * 2^600 gives mu1 * 2^600 bit for bit
+    @pytest.mark.parametrize("exp", [600, -600])
+    def test_power_of_two_scaling_is_exact(self, exp):
+        # the iteration runs on B / 2^e: B * 2^exp gives mu1 * 2^exp bit for
+        # bit, the scaling going down (600) or up (-600)
         B = np.array([[2.0, 1.0], [0.5, -1.0]])
         mu, ratio = estimate_dominant_complex(B, 500, 1e-12)
-        assert estimate_dominant_complex(np.ldexp(B, 600), 500, 1e-12) == (
-            complex(math.ldexp(mu.real, 600), 0.0), ratio)
+        assert estimate_dominant_complex(np.ldexp(B, exp), 500, 1e-12) == (
+            complex(math.ldexp(mu.real, exp), 0.0), ratio)
+
+    def test_eigenvalue_outside_float_range(self):
+        # the constant part's dominant eigenvalue is 2e308
+        with pytest.raises(DomainError, match="leaves the float range"):
+            solve(parse_matrix("1e308 + t; 1e308\n1e308; 1e308"), SolverConfig(truncation=F(4)))
+
+    def test_complex_below_the_scaled_range(self):
+        # the imaginary part underflows to 0 in B / 2^e; B is still complex
+        B = np.array([[1e300, 1.0], [1.0, 1e-30j]])
+        _mu, _ratio, v = solver._estimate_dominant(B, 500, 1e-12, 0)
+        assert np.iscomplexobj(v)
 
     @pytest.mark.parametrize("text, mu1", [("1e200 + t; 1\n1; 1", 1e200),
                                            ("1e300 + t; 1e300\n1; 1", 1e300)])
@@ -211,6 +224,18 @@ class TestSolve:
         assert abs(res.eigenvector[0][0] - 1.0) < 1e-10
         assert semi_norm(res.eigenvector[1], 6) < 1e-10
         assert res.residual < 1e-10  # A v vs nu v on the check window
+
+    def test_normalization_drops_an_entry(self):
+        # A has MIN_PAIRS stored entries; divided by mu1 ~ 1e20 its 1e-290
+        # becomes 1e-310, below the cleanup floor, so the loop runs on the
+        # Python kernel while A itself would select the grid
+        A = parse_matrix("1e20; 1; 1; 1e-290\n1; 1; 0; 0\n1; 0; 1; 0\n1; 0; 0; 1")
+        stored = [sum(1 for row in M.rows for a in row if a.terms)
+                  for M in (A, precondition(A, SolverConfig(truncation=F(4)))[0])]
+        assert stored == [_lattice_np.MIN_PAIRS, _lattice_np.MIN_PAIRS - 1]
+        res, _ = solve(A, SolverConfig(truncation=F(4)))
+        assert res.converged and res.residual < 1e-10
+        assert abs(res.eigenvalue[0] - 1e20) <= 1e-12 * 1e20
 
     def test_2x2_against_oracle(self):
         A = parse_matrix("2; t\nt; 1")
