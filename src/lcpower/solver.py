@@ -2,7 +2,7 @@
 
 Pipeline: factor out the smallest valuation q0 so every entry becomes at
 most finite, estimate the dominant eigenvalue mu1 of the constant-part
-matrix (A's coefficients at t^(q0); one power iteration per solve),
+matrix (A's coefficients at t^(q0); one eigensolve per solve),
 divide the matrix by mu1 so the target eigenvalue has constant part 1,
 then iterate multiply-and-normalize until successive iterates and
 Rayleigh quotients agree coefficient-wise within tolerance on the check
@@ -23,10 +23,10 @@ grid (:mod:`lcpower._lattice_np`) when the normalized matrix has at least
 the Python kernel.  The kernel lays out the matrix, and its ``laid`` the
 start vector; the iterates keep its form between steps and in the trace.
 A start vector that loses its dominant component gets one restart from
-the eigenvector the constant-part power iteration converged to (see
-:func:`solve`).  For a real constant-part matrix, mu1 and that eigenvector
-are real (:func:`_estimate_dominant`), so the loop on a real matrix runs
-on real coefficients, held as floats (the rule of :mod:`lcpower._lattice`).
+the dominant eigenvector of that eigensolve (see :func:`solve`).  For a
+real constant-part matrix, mu1 and that eigenvector are real
+(:func:`_estimate_dominant`), so the loop on a real matrix runs on real
+coefficients, held as floats (the rule of :mod:`lcpower._lattice`).
 """
 
 from __future__ import annotations
@@ -191,110 +191,79 @@ class EigenResult:
     poly_residual: Optional[float] = None
 
 
-# -- constant-part power iteration ---------------------------------------------
-
-
-def _power_complex(B: np.ndarray, iters: int, tol: float, seed: int):
-    """Classical power iteration.
-
-    Returns (rayleigh, vector, converged, residual_history); the residuals
-    ||B x_k - mu_k x_k|| are kept because their decay rate is the
-    |mu2 / mu1| dominance diagnostic.
-    """
-    rng = random.Random(seed)
-    x = np.array([complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-                  for _ in range(B.shape[0])])
-    x = x / np.linalg.norm(x)
-    mu = 0j
-    residuals = []
-    for _ in range(iters):
-        y = B @ x
-        mu = np.vdot(x, y)
-        ny = np.linalg.norm(y)
-        if ny <= 1e-300:
-            return 0j, x, False, residuals
-        res = np.linalg.norm(y - mu * x)
-        residuals.append(float(res))
-        x = y / ny
-        if res <= tol * max(abs(mu), 1e-30):
-            return mu, x, True, residuals
-    return mu, x, False, residuals
-
-
-def _decay_ratio(residuals, scale: float) -> float:
-    """Geometric-mean decay rate of the residuals above the noise floor.
-
-    The residual is the component of the iterate off the dominant
-    eigenvector, so its per-step decay estimates |mu2| / |mu1| without any
-    explicit deflation (which is hopeless for the badly conditioned
-    eigenbases of companion matrices)."""
-    floor = 1e-13 * scale
-    usable = [r for r in residuals if r > floor]
-    if len(usable) < 2:
-        return 0.0  # other components already below noise from a random start
-    window = usable[-min(len(usable), 12):]
-    steps = len(window) - 1
-    if window[0] <= 0.0:
-        return 0.0
-    return (window[-1] / window[0]) ** (1.0 / steps)
+# -- constant-part eigensolve --------------------------------------------------
 
 
 def estimate_dominant_complex(B, iters: int, tol: float, seed: int = 0
                               ) -> Tuple[complex, float]:
-    """Dominant eigenvalue of a complex matrix with a dominance diagnostic.
+    """Dominant eigenvalue of a complex matrix with its dominance ratio.
 
-    Runs classical power iteration from a seeded random start and returns
-    (mu1, estimated |mu2| / |mu1|), mu1 being real when ``B`` is.  Raises
-    when the iteration does not converge, when the matrix is numerically a
-    multiple of the identity (every eigenvalue tied), or when the
-    estimated ratio exceeds the dominance margin.
+    One dense eigensolve (``np.linalg.eig``) gives the eigenvalue mu1 of
+    largest modulus and the ratio |mu2| / |mu1| of the two largest moduli.
+    Up to ``iters`` power steps from its eigenvector certify it: they stop
+    once the residual is at most ``tol`` times the Rayleigh quotient's
+    modulus.  Returns (mu1, ratio), mu1 being real when ``B`` is; ``seed``
+    is unused.  Raises when the power steps do not converge or when the
+    ratio exceeds the dominance margin (every eigenvalue of a multiple of
+    the identity ties: ratio 1).
     """
-    mu, ratio, _v = _estimate_dominant(B, iters, tol, seed)
+    mu, ratio, _v = _estimate_dominant(B, iters, tol)
     return mu, ratio
 
 
-def _estimate_dominant(B, iters: int, tol: float, seed: int):
+def _estimate_dominant(B, iters: int, tol: float):
     """:func:`estimate_dominant_complex`, with the eigenvector the power
-    iteration converged to: (mu1, ratio, vector).
+    steps ended on: (mu1, ratio, vector).
 
     For a real ``B`` both are real: a strictly dominant eigenvalue of a
     real matrix is real (its conjugate is an eigenvalue of the same
     modulus), so ``mu1`` keeps its real part, and the vector is rotated
     so that its largest component is real and positive, then keeps its
-    real part.  The iteration runs on B / 2^e, 2^e just above B's largest
-    real or imaginary part, so its norms stay in range; mu1 is scaled back,
-    and a mu1 outside the float range raises :class:`DomainError`."""
+    real part.  The eigensolve and the power steps run on B / 2^e, 2^e just
+    above B's largest real or imaginary part, so their norms stay in range;
+    mu1 is scaled back, and a mu1 outside the float range raises
+    :class:`DomainError`."""
     B = np.ascontiguousarray(B, dtype=complex)
     if not B.any():
         raise DegenerateInputError("zero constant-part matrix")
     real = not B.imag.any()
     e = math.frexp(np.abs(B.view(float)).max())[1]  # the real and imaginary parts
     B = np.ldexp(B.view(float), -e).view(complex)
-    mu, v, ok, residuals = _power_complex(B, iters, tol, seed)
+    if real:
+        B = B.real  # LAPACK's real eigensolver: real eigenpairs for real eigenvalues
+    w, V = np.linalg.eig(B)
+    moduli = np.abs(w)
+    i = np.argmax(moduli)
+    x, ok = V[:, i], False
+    for _ in range(iters):
+        y = B @ x
+        mu = np.vdot(x, y)
+        ny = np.linalg.norm(y)
+        if ny <= 1e-300:
+            break
+        ok = np.linalg.norm(y - mu * x) <= tol * abs(mu)
+        x = y / ny
+        if ok:
+            break
     with np.errstate(over="ignore"):
-        mu1 = complex(*np.ldexp((mu.real, mu.imag), e))  # exact, or inf out of range
-    if not ok or abs(mu) <= 1e-300:
+        mu1 = complex(*np.ldexp((w[i].real, w[i].imag), e))  # exact, or inf out of range
+    if not ok or moduli[i] <= 1e-300:
         raise DominanceUncertainError(
             "power iteration on the constant-part matrix did not converge; "
             "no strictly dominant eigenvalue certified", estimate=mu1)
     if not np.isfinite(mu1):
-        raise DomainError(f"dominant constant-part eigenvalue of modulus {abs(mu):.6g} * 2^{e} "
+        raise DomainError(f"dominant constant-part eigenvalue of modulus {moduli[i]:.6g} * 2^{e} "
                           "leaves the float range")
-    if len(B) > 1 and np.linalg.norm(B - mu * np.eye(len(B))) / abs(mu) <= 1e-8:
-        raise DominanceUncertainError(
-            "matrix is numerically a multiple of the identity; "
-            "all eigenvalues tied", estimate=mu1, ratio=1.0)
-    ratio = _decay_ratio(residuals, abs(mu))
+    ratio = float(np.sort(moduli)[-2] / moduli[i]) if len(w) > 1 else 0.0
     if ratio > DOMINANCE_RATIO_MAX:
         raise DominanceUncertainError(
             f"second eigenvalue too close in modulus (ratio {ratio:.6f})",
             estimate=mu1, ratio=ratio)
     if real:
-        # the complex random start leaves roundoff in the imaginary parts
         mu1 = complex(mu1.real)
-        k = np.argmax(abs(v))
-        v = (v * (abs(v[k]) / v[k])).real
-    return mu1, float(ratio), v
+        k = np.argmax(abs(x))
+        x = (x * (abs(x[k]) / x[k])).real
+    return mu1, ratio, x
 
 
 # -- preprocessing ----------------------------------------------------------------
@@ -310,21 +279,20 @@ def precondition(A: LCMatrix, cfg: SolverConfig):
 
 def _constant_eigenpair(A: LCMatrix, cfg: SolverConfig):
     """The smallest valuation q0 of ``A`` and the dominant eigenpair of the
-    constant part of t^(-q0) A, the coefficients of ``A`` at t^(q0), as its
-    power iteration converged to it: (q0, mu1, eigenvector)."""
+    constant part of t^(-q0) A, the coefficients of ``A`` at t^(q0), as
+    :func:`_estimate_dominant` certified it: (q0, mu1, eigenvector)."""
     if A.is_zero():
         raise DegenerateInputError("zero matrix")
     q0 = min_valuation(A)
     B = np.array([[e[q0] for e in row] for row in A.rows], dtype=complex)
-    mu1, _ratio, v = _estimate_dominant(B, cfg.complex_pi_iters, cfg.complex_pi_tol, cfg.seed)
-    if abs(mu1) == 0.0:
-        raise DegenerateInputError("dominant constant-part eigenvalue is zero")
+    mu1, _ratio, v = _estimate_dominant(B, cfg.complex_pi_iters, cfg.complex_pi_tol)
     return q0, mu1, v
 
 
 def _normalized(A_lat, q0_key: int, mu1: complex):
     """t^(-q0) A / mu1 from ``A`` on a lattice, as ``t^(-q0) e * (1/mu1)`` per entry."""
-    inv_mu = _lattice.constant(1.0 / mu1)
+    # not _lattice.constant, which drops a factor at or below EPS_FLOOR (|mu1| >= 1e300)
+    inv_mu = (((0, _lattice.laid_coefficient(1.0 / mu1)),), _lattice.INF)
     return tuple(tuple(_lattice.mul(_lattice.shift(e, -q0_key), inv_mu) for e in row)
                  for row in A_lat)
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from lcpower import _lattice_np, core, solver
+from lcpower import _lattice_np, cli, core, solver
 from lcpower.core import constant, eq_up_to, semi_norm, shift_exponents, zero
 from lcpower.errors import (DegenerateInputError, DomainError, DominanceUncertainError,
                             LostDominanceError)
@@ -74,31 +74,41 @@ class TestEstimateDominant:
     def test_diagonal(self):
         mu, ratio = estimate_dominant_complex(np.diag([2.0, 1.0]), 200, 1e-12)
         assert abs(mu - 2.0) < 1e-9
-        assert abs(ratio - 0.5) < 0.1
+        assert abs(ratio - 0.5) < 1e-12
 
     def test_degree21_constant_part(self):
         B = pi_matrix(companion_matrix(degree21_polynomial()))
         mu, ratio = estimate_dominant_complex(B, 500, 1e-12)
         assert abs(mu - 100.0) < 1e-5 * 100
-        assert ratio < 0.6  # true gap is 40/100
+        assert abs(ratio - 0.4) < 1e-3  # the constant parts 100 and 40 of the two largest roots
 
-    def test_tied_spectrum(self):
+    # no strictly dominant constant-part eigenvalue: eig returns exactly 0,
+    # 0 for the first, a pair within roundoff of 0 for the second, a double
+    # 100 for the Jordan block and for 100 I, and +-1 for the swap
+    @pytest.mark.parametrize("text", ["t; 1\nt^2; 0", "1; 1\n-1; -1", "100; 1\n0; 100",
+                                      "100; t\n0; 100", "0; 1\n1; 0"],
+                             ids=["nilpotent", "nilpotent-roundoff", "jordan-block", "scalar",
+                                  "sign-tied"])
+    def test_no_strictly_dominant_eigenvalue(self, text, tmp_path, capsys):
         with pytest.raises(DominanceUncertainError):
-            estimate_dominant_complex(np.array([[0.0, 1.0], [1.0, 0.0]]), 300, 1e-12)
+            solve(parse_matrix(text), SolverConfig(truncation=F(6)))
+        m = tmp_path / "m.txt"
+        m.write_text(text + "\n")
+        assert cli.main(["solve-matrix", str(m), "--truncation", "6"]) == cli.EXIT_DOMINANCE
 
     def test_zero_matrix(self):
         with pytest.raises(DegenerateInputError):
             estimate_dominant_complex(np.zeros((2, 2)), 100, 1e-12)
 
     def test_real_matrix_real_estimate(self):
-        # the complex random start leaves no imaginary roundoff in mu1
+        # the power steps leave no imaginary roundoff in mu1
         mu, _ratio = estimate_dominant_complex(np.array([[2.0, 1.0], [0.5, -1.0]]), 500, 1e-12)
         assert mu.imag == 0.0
         assert abs(mu - (1 + 11 ** 0.5) / 2) < 1e-9
 
     @pytest.mark.parametrize("exp", [600, -600])
     def test_power_of_two_scaling_is_exact(self, exp):
-        # the iteration runs on B / 2^e: B * 2^exp gives mu1 * 2^exp bit for
+        # the eigensolve runs on B / 2^e: B * 2^exp gives mu1 * 2^exp bit for
         # bit, the scaling going down (600) or up (-600)
         B = np.array([[2.0, 1.0], [0.5, -1.0]])
         mu, ratio = estimate_dominant_complex(B, 500, 1e-12)
@@ -113,14 +123,18 @@ class TestEstimateDominant:
     def test_complex_below_the_scaled_range(self):
         # the imaginary part underflows to 0 in B / 2^e; B is still complex
         B = np.array([[1e300, 1.0], [1.0, 1e-30j]])
-        _mu, _ratio, v = solver._estimate_dominant(B, 500, 1e-12, 0)
+        _mu, _ratio, v = solver._estimate_dominant(B, 500, 1e-12)
         assert np.iscomplexobj(v)
 
     @pytest.mark.parametrize("text, mu1", [("1e200 + t; 1\n1; 1", 1e200),
-                                           ("1e300 + t; 1e300\n1; 1", 1e300)])
+                                           ("1e300 + t; 1e300\n1; 1", 1e300),
+                                           ("2e300 + t; 1\n1; 1", 2e300),
+                                           ("1e301; 1\n1; 1", 1e301)])
     def test_large_constant_part(self, text, mu1):
-        # the unscaled power iteration's norms overflow on these, a
-        # RuntimeWarning that the test configuration turns into an error
+        # unscaled power steps' norms overflow on these, a RuntimeWarning
+        # that the test configuration turns into an error; from |mu1| = 1e300
+        # on, 1/mu1 is at or below the cleanup floor EPS_FLOOR, which
+        # _lattice.constant would have turned into zero
         res, _ = solve(parse_matrix(text), SolverConfig(truncation=F(4)))
         assert res.converged and type(res.mu1) is complex and res.mu1.imag == 0.0
         assert abs(res.mu1 - mu1) <= 1e-12 * mu1
@@ -140,13 +154,6 @@ class TestPrecondition:
             for a, b in zip(row_a, row_b):
                 window = min(F(6), a.valid_to, b.valid_to)
                 assert eq_up_to(a, b, window, 1e-9)
-
-    def test_scalar_constant_part_rejected(self):
-        # 100 I + t N: the constant part is 100 I, every eigenvalue's
-        # constant part ties, so no strict dominance exists to certify.
-        A = parse_matrix("100; t\n0; 100")
-        with pytest.raises(DominanceUncertainError):
-            precondition(A, self.cfg())
 
     def test_infinitesimal_matrix(self):
         A = parse_matrix("3*t^2; 0\n1*t^3; 1*t^2")
@@ -365,11 +372,12 @@ def test_restart_when_start_loses_dominance(case):
 
 @pytest.mark.parametrize("case", [*sorted(LOST_START), "no-restart"])
 def test_one_constant_part_power_iteration_per_solve(case, monkeypatch):
-    """The restart starts from the eigenvector of the constant-part power
-    iteration that found mu1; it does not run that iteration again."""
+    """The restart starts from the eigenvector of the constant-part
+    eigensolve and power steps that found mu1; it does not solve again."""
     calls = []
-    power = solver._power_complex
-    monkeypatch.setattr(solver, "_power_complex", lambda *args: calls.append(1) or power(*args))
+    estimate = solver._estimate_dominant
+    monkeypatch.setattr(solver, "_estimate_dominant",
+                        lambda *args: calls.append(1) or estimate(*args))
     text = "2 + t; 1\n1; 1" if case == "no-restart" else LOST_START[case][1]
     solve(parse_matrix(text), SolverConfig(truncation=F(6), max_iters=600, tol=1e-12))
     assert len(calls) == 1
@@ -521,6 +529,15 @@ class TestPolyRoot:
         assert res.converged
         assert eq_up_to(res.eigenvalue, constant(2), 6, 1e-10)
 
+    def test_degree21_yardstick(self):
+        # the paper's experiment: every coefficient of the root 100 + sum k t^k
+        res, _ = poly_dominant_root(degree21_polynomial(),
+                                    SolverConfig(truncation=F(9), tol=1e-14, max_iters=100))
+        root = largest_root()
+        keys = {q for q, _ in res.eigenvalue.terms} | set(range(10))
+        assert max(abs(res.eigenvalue[q] - root[q]) for q in keys) <= 1e-10
+        assert res.poly_residual <= 1e-14
+
     def test_residual_is_relative(self):
         res, _ = poly_dominant_root(degree21_polynomial(bound=5),
                                     SolverConfig(truncation=F(5), max_iters=60))
@@ -530,9 +547,10 @@ class TestPolyRoot:
 
 
 def test_solve_loads_no_numpy_random():
-    """The start vectors and the constant-part power iteration draw from
-    the standard library's ``random``: a fresh interpreter that solves with
-    the ``ones`` and the ``random:3`` start never loads ``numpy.random``."""
+    """The start vectors draw from the standard library's ``random``, and
+    the constant-part eigensolve draws nothing: a fresh interpreter that
+    solves with the ``ones`` and the ``random:3`` start never loads
+    ``numpy.random``."""
     code = ("import sys\n"
             "from fractions import Fraction\n"
             "from lcpower.solver import SolverConfig, solve\n"
