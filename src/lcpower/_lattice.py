@@ -525,9 +525,12 @@ def phase_aligned(v, ops=PYTHON):
     return (v if phase == 1.0 + 0j else ops.scaled(v, constant(phase.conjugate()))), tie
 
 
-def weakly_converged(a, b, rho_prev, rho_curr, r: int, tol: float, D: int,
+def weakly_converged(a, b, quotients: Callable, r: int, tol: float, D: int,
                      ops=PYTHON) -> bool:
-    """The weakly-Cauchy test on the phase-aligned iterates ``a``, ``b``."""
+    """The weakly-Cauchy test on the phase-aligned iterates ``a``, ``b``.
+    ``quotients()`` gives the two Rayleigh quotients (previous, current);
+    it is called only once the iterates agree."""
     if any(d >= tol for d in ops.diff_semi_norms(a, b, r, D)):
         return False
+    rho_prev, rho_curr = quotients()
     return semi_norm(sub(rho_curr, rho_prev), r, D) < tol

@@ -13,15 +13,18 @@ The loop runs on an integer exponent lattice (1/D)Z fixed when ``solve``
 is entered: A itself (q0 is one of its exponents) and the start vector are
 converted once (:class:`lcpower.core.Lattice`), the shift by t^(-q0), the
 division by mu1, every step and the residual call the kernels of
-:mod:`lcpower._lattice`, and only the result is converted back.  The trace
-keeps each step's iterate and Rayleigh quotient on that lattice and
-converts them, and composes the recovered eigenvalue, on first access.
+:mod:`lcpower._lattice`, and only the result is converted back.  A step
+keeps its iterate and matrix action on that lattice and builds its
+Rayleigh quotient when the stopping rule (once the iterates agree) or the
+trace first reads it; the trace converts them, and composes the recovered
+eigenvalue, on first access.
 The loop's vector operations (:class:`lcpower._lattice.VectorOps`), the
 matrix action and the residual run on one kernel per solve: a dense numpy
 grid (:mod:`lcpower._lattice_np`) when the normalized matrix has at least
 ``_lattice_np.MIN_PAIRS`` stored entries, within stated error bounds of
 the Python kernel.  The kernel lays out the matrix, and its ``laid`` the
-start vector; the iterates keep its form between steps and in the trace.
+start vector; the iterates and matrix actions keep its form between steps
+and in the trace.
 A start vector that loses its dominant component gets one restart from
 the dominant eigenvector of that eigensolve (see :func:`solve`).  For a
 real constant-part matrix, mu1 and that eigenvector are real
@@ -127,13 +130,22 @@ class TraceStep:
 
 
 class _LatticeStep(TraceStep):
-    """A step as the loop records it: its iterate and Rayleigh quotient on
-    the solve's lattice, each converted to its :class:`TraceStep` field on
-    first access.  The estimate is composed from the quotient on first
-    access too."""
+    """A step as the loop records it: its iterate and matrix action on the
+    solve's lattice, in the form of the kernel ``ops``.  Its Rayleigh
+    quotient is built on first read (by the stopping rule or the trace),
+    which drops the action.  The iterate and the quotient are converted to
+    their :class:`TraceStep` fields, and the estimate composed, on first
+    access."""
 
-    def __init__(self, step: int, lat: Lattice, xs, rho, mu, q0: int):
-        vars(self).update(step=step, _lat=lat, _xs=xs, _rho=rho, _mu=mu, _q0=q0)
+    def __init__(self, step: int, lat: Lattice, xs, y, ops, trunc: int, mu, q0: int):
+        vars(self).update(step=step, _lat=lat, _xs=xs, _y=y, _ops=ops, _trunc=trunc,
+                          _mu=mu, _q0=q0)
+
+    @cached_property
+    def _rho(self):
+        rho = _lattice.retruncate(_lattice.rayleigh(self._xs, self._y, self._ops), self._trunc)
+        del vars(self)["_y"]
+        return rho
 
     @cached_property
     def _nu(self):
@@ -325,7 +337,7 @@ def weakly_converged(x_prev: LCVector, x_curr: LCVector,
     lat = Lattice([*x_prev, *x_curr, rho_prev, rho_curr], [r])
     a, _ = _lattice.phase_aligned(lat.vector(x_prev))
     b, _ = _lattice.phase_aligned(lat.vector(x_curr))
-    return _lattice.weakly_converged(a, b, lat.number(rho_prev), lat.number(rho_curr),
+    return _lattice.weakly_converged(a, b, lambda: (lat.number(rho_prev), lat.number(rho_curr)),
                                      lat.key(r), tol, lat.D)
 
 
@@ -368,18 +380,20 @@ def _iterate(lat: Lattice, action, ops, y, cfg: SolverConfig, mu1: complex, q0: 
         # one matrix action per step, shared between the Rayleigh quotient
         # of this iterate and the next normalization
         y = action(xs)
-        rho_new = _lattice.retruncate(_lattice.rayleigh(xs, y, ops), trunc)
-        trace.steps.append(_LatticeStep(k, lat, xs, rho_new, mu, q0_key))
+        step = _LatticeStep(k, lat, xs, y, ops, trunc, mu, q0_key)
+        trace.steps.append(step)
         aligned_new, aligned_tie = _lattice.phase_aligned(xs, ops)
         # step 0 has no previous step, and its pivot tie (e.g. all-ones)
         # is the start's, not the degeneracy the warning flag tracks
         if k:
             tie_any |= tie
-            converged = _lattice.weakly_converged(aligned, aligned_new, rho, rho_new,
+            converged = _lattice.weakly_converged(aligned, aligned_new,
+                                                  lambda: (prev._rho, step._rho),
                                                   window, cfg.tol, lat.D, ops)
-        aligned, rho = aligned_new, rho_new
+        aligned, prev = aligned_new, step
         if converged:
             break
+    step._rho  # the last quotient, built here so that its errors reach solve's restart
     return trace, k, converged, aligned, tie_any or aligned_tie
 
 
@@ -401,12 +415,12 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
 
     Diagonalizability is the caller's responsibility.  When a step loses
     the constant part of the iterate's norm (``LostDominanceError``, or a
-    Rayleigh quotient whose norm has a vanishing constant part), the start
-    vector had numerically no component along the dominant eigenvector:
-    the loop then runs once more from the dominant eigenvector of the
-    constant-part matrix, and the trace and the step count are those of
-    that run.  On non-convergence the full trace is still returned with
-    ``converged=False``.
+    Rayleigh quotient the loop reads whose norm has a vanishing constant
+    part), the start vector had numerically no component along the
+    dominant eigenvector: the loop then runs once more from the dominant
+    eigenvector of the constant-part matrix, and the trace and the step
+    count are those of that run.  On non-convergence the full trace is
+    still returned with ``converged=False``.
 
     The vector-convergence guarantee holds for real-series eigenvalues.
     When the dominant eigenvalue has a genuinely complex infinitesimal
@@ -415,6 +429,10 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     quotient and the residual still settle, but the iterate comparison
     (and hence ``converged``) may stay false; judge such runs by
     ``residual``.
+
+    The loop reads a step's Rayleigh quotient only where the stopping rule
+    compares it (once the iterates agree) and at the last step; the trace
+    builds the others on first access.
     """
     q0, mu1, dominant = _constant_eigenpair(A, cfg)
     # one lattice per solve: the matrix (q0 is one of its exponents), the

@@ -1001,8 +1001,9 @@ def test_float_coefficients_match_complex(case, action_case, trunc, tol):
         _same_on_both_types(lk.rayleigh, lk.normalize(u, "l2", trunc)[0], au)
     _same_on_both_types(lk.phase_aligned, u)
     r = min([2, *(e[1] for e in (*u, *au, a, b))])  # a window every bound holds
-    _same_on_both_types(lambda x, y, r0, r1: lk.weakly_converged(x, y, r0, r1, r, tol, 1),
-                        u, au, a, b)
+    _same_on_both_types(
+        lambda x, y, r0, r1: lk.weakly_converged(x, y, lambda: (r0, r1), r, tol, 1),
+        u, au, a, b)
 
 
 _factors = st.one_of(coefficients, huge)
@@ -1084,8 +1085,8 @@ def _close_loop_tail(a, b, x, y, r):
     tol = _cleanup_tolerance(1, 1, S)
     close(lambda: list(lk.diff_semi_norms(a, b, r, 6)),
           lambda: list(lnp.diff_semi_norms(x, y, r, 6)), tol)
-    close(lambda: lk.weakly_converged(a, b, ONE, ONE, r, 1e-8, 6),
-          lambda: lk.weakly_converged(x, y, ONE, ONE, r, 1e-8, 6, lnp.NUMPY), tol)
+    close(lambda: lk.weakly_converged(a, b, lambda: (ONE, ONE), r, 1e-8, 6),
+          lambda: lk.weakly_converged(x, y, lambda: (ONE, ONE), r, 1e-8, 6, lnp.NUMPY), tol)
 
 
 TAIL_CASES = {

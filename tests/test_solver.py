@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from lcpower import _lattice_np, cli, core, solver
+from lcpower import _lattice, _lattice_np, cli, core, solver
 from lcpower.core import constant, eq_up_to, semi_norm, shift_exponents, zero
 from lcpower.errors import (DegenerateInputError, DomainError, DominanceUncertainError,
                             LostDominanceError)
@@ -381,6 +381,72 @@ def test_one_constant_part_power_iteration_per_solve(case, monkeypatch):
     text = "2 + t; 1\n1; 1" if case == "no-restart" else LOST_START[case][1]
     solve(parse_matrix(text), SolverConfig(truncation=F(6), max_iters=600, tol=1e-12))
     assert len(calls) == 1
+
+
+def _first_rayleigh_raises(monkeypatch, error):
+    """Make the first Rayleigh quotient a solve builds raise ``error``."""
+    rayleigh, calls = _lattice.rayleigh, []
+
+    def failing_once(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise error("injected")
+        return rayleigh(*args)
+
+    monkeypatch.setattr(_lattice, "rayleigh", failing_once)
+
+
+def test_rayleigh_error_restarts_the_solve(monkeypatch):
+    """A DegenerateInputError from a Rayleigh quotient the loop reads makes
+    ``solve`` run again from the constant-part eigenvector, and the trace
+    is that run's: the same as a solve started there."""
+    A = parse_matrix("2 + t; 1\n1; 1")
+    cfg = SolverConfig(truncation=F(6))
+    _q0, _mu1, dominant = solver._constant_eigenpair(A, cfg)
+    start = LCVector([constant(complex(c)) for c in dominant])
+    want, want_trace = solve(A, SolverConfig(truncation=F(6), start=start))
+    ones_first = solve(A, cfg)[1].steps[0]
+    assert list(want_trace.steps[0].vector) != list(ones_first.vector)
+    _first_rayleigh_raises(monkeypatch, DegenerateInputError)
+    res, trace = solve(A, cfg)
+    assert res.iterations_used == want.iterations_used and res.converged
+    assert res.eigenvalue == want.eigenvalue
+    assert len(trace.steps) == len(want_trace.steps)
+    for s, w in zip(trace.steps, want_trace.steps):
+        assert list(s.vector) == list(w.vector) and s.rho == w.rho
+
+
+def test_rayleigh_domain_error_propagates(monkeypatch):
+    _first_rayleigh_raises(monkeypatch, DomainError)
+    with pytest.raises(DomainError, match="injected"):
+        solve(parse_matrix("2 + t; 1\n1; 1"), SolverConfig(truncation=F(6)))
+
+
+def test_rayleigh_quotients_built_when_read(monkeypatch):
+    """The loop builds a step's quotient only when the stopping rule reads
+    it (the iterates agree) and for the last step; the trace builds the
+    others on access, each once, and then drops the step's matrix action."""
+    calls = []
+    rayleigh = _lattice.rayleigh
+    monkeypatch.setattr(_lattice, "rayleigh",
+                        lambda u, *rest: calls.append(u) or rayleigh(u, *rest))
+    cfg = SolverConfig(truncation=F(6))
+    res, trace = solve(parse_matrix("1 + t; 0.5\n0.5; 1"), cfg)
+    built = len(calls)
+    assert res.converged and res.iterations_used >= 30
+    passed = 0  # steps whose iterate comparison passed
+    for prev, step in zip(trace.steps, trace.steps[1:]):
+        read = []
+        _lattice.weakly_converged(_lattice.phase_aligned(prev._xs)[0],
+                                  _lattice.phase_aligned(step._xs)[0],
+                                  lambda: read.append(1) or (_lattice.ZERO, _lattice.ZERO),
+                                  step._lat.key(cfg.window), cfg.tol, step._lat.D)
+        passed += bool(read)
+    assert built <= passed + 2
+    for step in trace.steps:
+        assert isinstance(step.rho, core.LCNumber)
+        assert sum(u is step._xs for u in calls) == 1
+        assert "_y" not in vars(step)
 
 
 def _imaginary_parts(res):
