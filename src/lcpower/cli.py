@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -40,28 +39,6 @@ EXIT_PARSE = 3
 EXIT_DOMINANCE = 4
 EXIT_NONCONVERGED = 5
 EXIT_INTERNAL = 6
-
-@dataclass
-class RunManifest:
-    """Everything one invocation needs: input kind and path, solver
-    configuration, output paths, and the optional reference solution."""
-    kind: str                      # "matrix" | "polynomial"
-    input_path: Path
-    config: SolverConfig
-    trace_every: int
-    trace_columns: int
-    out_path: Optional[Path] = None
-    trace_path: Optional[Path] = None
-    reference_path: Optional[Path] = None
-
-    def __post_init__(self):
-        paths = [p for p in (self.input_path, self.out_path, self.trace_path,
-                             self.reference_path) if p is not None]
-        if len(set(paths)) != len(paths):
-            raise ParseError("input, output, trace and reference paths must be distinct")
-        if self.trace_every < 1 or self.trace_columns < 1:
-            raise ParseError("trace sampling stride and column cap must be >= 1")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -114,11 +91,11 @@ def _config_from_args(args) -> SolverConfig:
                            for key, name, convert in CONFIG_KEYS if key in values})
 
 
-def _result_document(manifest: RunManifest, result: EigenResult) -> str:
-    cfg = manifest.config
+def _result_document(kind: str, input_path: Path, cfg: SolverConfig,
+                     result: EigenResult) -> str:
     doc = {
-        "kind": manifest.kind,
-        "input": str(manifest.input_path),
+        "kind": kind,
+        "input": str(input_path),
         "eigenvalue": serialize_series(result.eigenvalue),
         "eigenvector": [serialize_series(e) for e in result.eigenvector],
         "q0": str(result.q0),
@@ -163,20 +140,22 @@ def _write(path: Optional[Path], content: str):
         path.write_text(content)
 
 
-def cmd_solve(manifest: RunManifest) -> int:
-    """Run the solver per the manifest; write result and trace documents."""
-    text = manifest.input_path.read_text()
-    if manifest.kind == "polynomial":
-        result, trace = poly_dominant_root(parse_polynomial(text), manifest.config)
+def cmd_solve(args: argparse.Namespace, config: SolverConfig) -> int:
+    """Run the solver on ``args.input``; write the result and trace documents."""
+    text = args.input.read_text()
+    if args.command == "poly-root":
+        kind = "polynomial"
+        result, trace = poly_dominant_root(parse_polynomial(text), config)
     else:
-        result, trace = solve(parse_matrix(text), manifest.config)
+        kind = "matrix"
+        result, trace = solve(parse_matrix(text), config)
     reference = None
-    if manifest.reference_path is not None:
-        reference = parse_series(manifest.reference_path.read_text())
-    _write(manifest.out_path, _result_document(manifest, result))
-    if manifest.trace_path is not None:
-        _write(manifest.trace_path,
-               _trace_csv(trace, reference, manifest.trace_every, manifest.trace_columns))
+    if args.reference is not None:
+        reference = parse_series(args.reference.read_text())
+    _write(args.out, _result_document(kind, args.input, config, result))
+    if args.trace_out is not None:
+        _write(args.trace_out,
+               _trace_csv(trace, reference, args.trace_every, args.trace_columns))
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
@@ -199,17 +178,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "gershgorin":
             return cmd_gershgorin(args.input)
-        manifest = RunManifest(
-            kind="polynomial" if args.command == "poly-root" else "matrix",
-            input_path=args.input,
-            config=_config_from_args(args),
-            out_path=args.out,
-            trace_path=args.trace_out,
-            reference_path=args.reference,
-            trace_every=args.trace_every,
-            trace_columns=args.trace_columns,
-        )
-        return cmd_solve(manifest)
+        config = _config_from_args(args)
+        paths = [p for p in (args.input, args.out, args.trace_out, args.reference)
+                 if p is not None]
+        if len(set(paths)) != len(paths):
+            raise ParseError("input, output, trace and reference paths must be distinct")
+        if args.trace_every < 1 or args.trace_columns < 1:
+            raise ParseError("trace sampling stride and column cap must be >= 1")
+        return cmd_solve(args, config)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,6 +1,6 @@
 """Text formats: series grammar, matrix and polynomial files, config files.
 
-One number is a sum of ``c*t^(p/q)`` terms, whitespace-insensitive::
+One number is a sum of ``c*t^(p/q)`` terms::
 
     100 + 1*t^1 + 2*t^2
     1.5*t^(1/2) - 2i*t^3
@@ -8,9 +8,18 @@ One number is a sum of ``c*t^(p/q)`` terms, whitespace-insensitive::
 
 Coefficients are decimal reals, imaginaries (``2i``, ``i``) or
 parenthesized complex numbers ``(re+imi)``; exponents are decimal
-integers or parenthesized fractions.  ``#`` starts a comment.  A matrix
-file holds one row per line, entries separated by ``;``.  A polynomial
-file reads ``poly: a0; a1; ...`` (monic leading coefficient implied).
+integers or parenthesized fractions.  Whitespace (what ``str.isspace``
+accepts) may stand between any two tokens, except that outside
+parentheses an imaginary's ``i`` touches its digits (``2i``, while
+``(1 + 2 i)`` is fine), and a sign inside a complex coefficient's real
+part or inside an exponent touches its digits (``t^-1``, ``t^(1/+2)``,
+``(-1)``; not ``t^- 1`` or ``(- 1)``).  That real part takes ``-`` only.
+Digits are any Unicode decimal digits.  ``#`` starts a comment.
+A matrix file holds one row per line, entries separated by ``;``.  A
+polynomial file reads ``poly: a0; a1; ...`` (monic leading coefficient
+implied).  A :class:`ParseError` carries a line and a column; an error
+inside a complex coefficient or an exponent names that construct and
+points at its first character (past the ``^`` and any whitespace).
 Serialization uses shortest round-trip float formatting, so
 ``parse(serialize(x))`` reproduces every coefficient bit for bit.
 """
@@ -20,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Tuple
+from typing import Tuple
 
 from .core import INF, LCNumber, as_exponent, from_terms
 from .errors import ParseError
@@ -36,165 +45,87 @@ __all__ = [
     "serialize_matrix",
 ]
 
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_DIGITS = re.compile(r"\d+")
+# The series grammar, one pattern per piece; ``\s`` and ``\d`` match what
+# ``str.isspace`` and ``str.isdecimal`` accept.
+_REAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# Outside parentheses: a real, an imaginary with its ``i`` adjacent, or ``i``.
+_COEFFICIENT = re.compile(rf"({_REAL})?(i)?")
+# ``(re)``, ``(re+im i)`` or ``(re+i)``; the real part may carry an
+# adjacent ``-``, never a ``+``.
+_COMPLEX = re.compile(rf"\(\s*(-?{_REAL})\s*(?:([+-])\s*(?:({_REAL})\s*)?i\s*)?\)")
+_TIMES_T = re.compile(r"\s*(\*?)\s*(t?)")
+_CARET = re.compile(r"\s*\^\s*")
+# ``k``, ``(p)`` or ``(p/q)``, each integer with an adjacent sign or none.
+# The ``)`` is optional here so that a bad denominator is reported first.
+_EXPONENT = re.compile(r"([+-]?\d+)|\(\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?(\)?)")
+# The optional sign before a term, with the whitespace around it.
+_SIGN = re.compile(r"\s*([+-]?)\s*")
+_COMMENT = re.compile(r"#[^\n]*")
+_HEADER = re.compile(r"\s*(poly:)?")
 
 
 def _strip_comments(text: str) -> str:
-    # Replace comment spans with spaces so source positions survive.
-    out = []
-    for line in text.split("\n"):
-        cut = line.find("#")
-        if cut >= 0:
-            line = line[:cut] + " " * (len(line) - cut)
-        out.append(line)
-    return "\n".join(out)
+    # Blank comment spans with spaces so source positions survive.
+    return _COMMENT.sub(lambda m: " " * len(m[0]), text)
 
 
-class _Scanner:
-    """Character scanner over a slice of the full source text; all error
-    positions are computed against the full text."""
+def _error(msg: str, text: str, pos: int) -> ParseError:
+    before = text[:pos]
+    return ParseError(msg, before.count("\n") + 1, pos - before.rfind("\n"))
 
-    def __init__(self, text: str, start: int = 0, end: int | None = None):
-        self.text = text
-        self.pos = start
-        self.end = len(text) if end is None else end
 
-    def error(self, msg: str):
-        before = self.text[:self.pos]
-        line = before.count("\n") + 1
-        col = self.pos - before.rfind("\n")
-        raise ParseError(msg, line, col)
-
-    def skip_ws(self):
-        while self.pos < self.end and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < self.end else ""
-
-    def eat(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.eat(ch):
-            self.error(f"expected {ch!r}")
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= self.end
-
-    def real_number(self) -> float:
-        m = _NUMBER.match(self.text, self.pos, self.end)
-        if not m:
-            self.error("expected a number")
-        self.pos = m.end()
-        return float(m.group())
-
-    def integer(self) -> int:
-        sign = -1 if self.eat("-") else 1
-        if not sign == -1:
-            self.eat("+")
-        m = _DIGITS.match(self.text, self.pos, self.end)
-        if not m:
-            self.error("expected an integer")
-        self.pos = m.end()
-        return sign * int(m.group())
-
-    # -- grammar ---------------------------------------------------------
-
-    def exponent(self) -> Fraction:
-        if self.eat("("):
-            num = self.integer()
-            den = 1
-            if self.eat("/"):
-                self.skip_ws()
-                start = self.pos
-                den = self.integer()
-                if den <= 0:
-                    self.pos = start
-                    self.error("exponent denominator must be positive")
-            self.expect(")")
-            return Fraction(num, den)
-        return Fraction(self.integer())
-
-    def complex_paren(self) -> complex:
-        self.expect("(")
-        re_sign = -1.0 if self.eat("-") else 1.0
-        re_val = re_sign * self.real_number()
-        if self.eat(")"):
-            return complex(re_val, 0.0)
-        if self.eat("+"):
-            im_sign = 1.0
-        elif self.eat("-"):
-            im_sign = -1.0
+def _term(text: str, pos: int, end: int) -> Tuple[int, Fraction, complex]:
+    """Read the unsigned term at ``pos`` (not whitespace); return where it
+    ends, its exponent and its coefficient."""
+    if text.startswith("t", pos, end):
+        coeff, pos = 1 + 0j, pos + 1
+    else:
+        if text.startswith("(", pos, end):
+            m = _COMPLEX.match(text, pos, end)
+            if not m:
+                raise _error("malformed complex coefficient", text, pos)
+            re_part, sign, im_part = m.groups()
+            coeff = complex(float(re_part), float(sign + (im_part or "1")) if sign else 0.0)
         else:
-            self.error("expected '+', '-' or ')' in complex coefficient")
-        im_val = 1.0 if self.peek() == "i" else self.real_number()
-        self.expect("i")
-        self.expect(")")
-        return complex(re_val, im_sign * im_val)
-
-    def coefficient(self) -> complex:
-        ch = self.peek()
-        if ch == "(":
-            return self.complex_paren()
-        if ch == "i":
-            self.pos += 1
-            return 1j
-        val = self.real_number()
-        if self.pos < self.end and self.text[self.pos] == "i":
-            self.pos += 1
-            return complex(0.0, val)
-        return complex(val, 0.0)
-
-    def term(self) -> Tuple[Fraction, complex]:
-        if self.peek() == "t":
-            self.pos += 1
-            coeff = 1.0 + 0j
-        else:
-            coeff = self.coefficient()
-            has_star = self.eat("*")
-            if self.peek() == "t":
-                if not has_star:
-                    self.error("expected '*' between coefficient and t")
-                self.pos += 1
-            else:
-                if has_star:
-                    self.error("expected 't' after '*'")
-                return Fraction(0), coeff
-        if self.eat("^"):
-            return self.exponent(), coeff
-        return Fraction(1), coeff
-
-    def series_terms(self) -> List[Tuple[Fraction, complex]]:
-        terms = []
-        if self.at_end():
-            self.error("empty series")
-        negate = self.eat("-")
-        if not negate:
-            self.eat("+")
-        while True:
-            q, c = self.term()
-            terms.append((q, -c if negate else c))
-            if self.at_end():
-                return terms
-            if self.eat("+"):
-                negate = False
-            elif self.eat("-"):
-                negate = True
-            else:
-                self.error("expected '+' or '-' between terms")
+            m = _COEFFICIENT.match(text, pos, end)
+            if m.end() == pos:
+                raise _error("expected a number", text, pos)
+            value = float(m[1] or 1)
+            coeff = complex(0.0, value) if m[2] else complex(value, 0.0)
+        m = _TIMES_T.match(text, m.end(), end)
+        star, t = m.groups()
+        if not t:
+            if star:
+                raise _error("expected 't' after '*'", text, m.end())
+            return m.end(), Fraction(0), coeff
+        if not star:
+            raise _error("expected '*' between coefficient and t", text, m.start(2))
+        pos = m.end()
+    m = _CARET.match(text, pos, end)
+    if not m:
+        return pos, Fraction(1), coeff
+    pos = m.end()
+    m = _EXPONENT.match(text, pos, end)
+    if m and m[3] and int(m[3]) <= 0:
+        raise _error("exponent denominator must be positive", text, m.start(3))
+    if not m or m[2] and not m[4]:
+        raise _error("malformed exponent", text, pos)
+    return m.end(), Fraction(int(m[1] or m[2]), int(m[3] or 1)), coeff
 
 
 def _parse_series_at(text: str, start: int, end: int) -> LCNumber:
-    sc = _Scanner(text, start, end)
-    terms = sc.series_terms()
-    return from_terms(terms, INF)
+    m = _SIGN.match(text, start, end)
+    if m.end() == end and not m[1]:
+        raise _error("empty series", text, end)
+    terms = []
+    while True:
+        pos, q, c = _term(text, m.end(), end)
+        terms.append((q, -c if m[1] == "-" else c))
+        m = _SIGN.match(text, pos, end)
+        if not m[1]:
+            if m.end() == end:
+                return from_terms(terms, INF)
+            raise _error("expected '+' or '-' between terms", text, m.end())
 
 
 def parse_series(text: str) -> LCNumber:
@@ -251,12 +182,10 @@ def parse_vector(text: str) -> LCVector:
 def parse_polynomial(text: str) -> Polynomial:
     """Parse ``poly: a0; a1; ...`` (coefficients of a monic polynomial)."""
     padded = _strip_comments(text)
-    sc = _Scanner(padded)
-    sc.skip_ws()
-    if not padded[sc.pos:sc.pos + 5] == "poly:":
-        sc.error("expected 'poly:' header")
-    start = sc.pos + 5
-    spans = [(s, e) for s, e in _split_spans(padded, start, len(padded), ";")]
+    m = _HEADER.match(padded)
+    if not m[1]:
+        raise _error("expected 'poly:' header", padded, m.end())
+    spans = list(_split_spans(padded, m.end(), len(padded), ";"))
     # a trailing ';' leaves one empty segment; drop it
     if len(spans) > 1 and padded[spans[-1][0]:spans[-1][1]].strip() == "":
         spans = spans[:-1]

@@ -73,6 +73,13 @@ class TestSolveMatrix:
         assert run_cli(["solve-matrix", matrix_file, "--truncation", "6",
                         "--start", f"file:{sv}", "--out", out]) == cli.EXIT_OK
 
+    def test_start_file_of_wrong_length(self, tmp_path, matrix_file, capsys):
+        sv = tmp_path / "start.txt"
+        sv.write_text("1\n0.5\n2\n")
+        assert run_cli(["solve-matrix", matrix_file, "--truncation", "6",
+                        "--start", f"file:{sv}"]) == cli.EXIT_INTERNAL
+        assert "start vector has length 3" in capsys.readouterr().err
+
 
 class TestPolyRoot:
     def test_quadratic(self, tmp_path, capsys):

@@ -36,6 +36,10 @@ class TestConstruction:
         a = from_terms([(0, 1.0), (1, 1e-20)])
         assert len(a.terms) == 1  # 1e-20 is residue next to 1.0
 
+    def test_float_exponent_rejected(self):
+        with pytest.raises(TypeError, match="exponent must be rational"):
+            core.as_exponent(1.5)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             from_terms([(0, math.inf)])

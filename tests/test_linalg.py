@@ -55,6 +55,15 @@ class TestVector:
         with pytest.raises(DegenerateInputError, match="length mismatch"):
             LCVector([1, T]) - LCVector([1, T, 1])
 
+    def test_empty(self):
+        with pytest.raises(DegenerateInputError, match="empty vector"):
+            LCVector([])
+
+    @pytest.mark.parametrize("rows", [[], [[1, 2]], [[1, 2], [3]]])
+    def test_matrix_not_square(self, rows):
+        with pytest.raises(DegenerateInputError, match="square"):
+            LCMatrix(rows)
+
 
 class TestValuationScaling:
     def test_min_valuation(self):

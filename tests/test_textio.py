@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcpower.core import constant, from_terms
 from lcpower.errors import ParseError
@@ -51,6 +53,72 @@ class TestParseSeries:
     def test_duplicate_exponents_merge(self):
         assert parse_series("1 + 2 + t + t").terms == ((F(0), 3 + 0j), (F(1), 2 + 0j))
 
+    def test_sign_and_whitespace_rules(self):
+        # a sign touches the digits it signs; inside parentheses the i may
+        # stand apart; Unicode spaces and digits count
+        assert parse_series("(1 + 2 i)").terms == ((F(0), 1 + 2j),)
+        assert parse_series("t^+2 + t^(1/+2)").terms == ((F(1, 2), 1 + 0j), (F(2), 1 + 0j))
+        assert parse_series("( -1)*t^ -1").terms == ((F(-1), -1 + 0j),)
+        assert parse_series("\u0663 +\u2003t").terms == ((F(0), 3 + 0j), (F(1), 1 + 0j))
+
+
+_SPACE = st.text(" \t\xa0\u2003", max_size=2)
+_REALS = st.floats(min_value=0.0, max_value=1e300)
+
+
+@st.composite
+def spelled_series(draw):
+    """A series text with its terms: each term in one of the grammar's
+    spellings, with whitespace wherever the grammar allows it."""
+    def w():
+        return draw(_SPACE)
+
+    def integer(k):
+        return str(k) if k < 0 else draw(st.sampled_from(["", "+"])) + str(k)
+
+    def coefficient():
+        kind = draw(st.sampled_from(["real", "imag", "i", "complex", "complex_i"]))
+        x = draw(_REALS)
+        if kind == "real":
+            return complex(x, 0.0), repr(x)
+        if kind == "imag":
+            return complex(0.0, x), repr(x) + "i"
+        if kind == "i":
+            return 1j, "i"
+        re = -draw(_REALS) if draw(st.booleans()) else draw(_REALS)
+        sign = draw(st.sampled_from("+-"))
+        im, im_text = (x, f"{repr(x)}{w()}") if kind == "complex" else (1.0, "")
+        text = f"({w()}{repr(re)}{w()}{sign}{w()}{im_text}i{w()})"
+        return complex(re, im if sign == "+" else -im), text
+
+    drawn, pieces = [], []
+    for n in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["", "+", "-"] if n == 0 else ["+", "-"]))
+        form = draw(st.sampled_from(["t", "power", "fraction", "constant"]))
+        if form == "t":
+            q, c, body = F(1), 1 + 0j, "t"
+        else:
+            c, body = coefficient()
+            q = F(0)
+            if form == "power":
+                q = F(draw(st.integers(-9, 9)))
+                body += f"{w()}*{w()}t{w()}^{w()}{integer(q.numerator)}"
+            elif form == "fraction":
+                p, d = draw(st.integers(-9, 9)), draw(st.integers(1, 6))
+                q = F(p, d)
+                body += f"{w()}*{w()}t{w()}^{w()}({w()}{integer(p)}{w()}/{w()}{integer(d)}{w()})"
+        drawn.append((q, -c if sign == "-" else c))
+        pieces.append(f"{w()}{sign}{w()}{body}")
+    return "".join(pieces) + w(), drawn
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spelled_series())
+def test_every_spelling_parses_to_its_terms(case):
+    text, drawn = case
+    got = [(q, repr(c)) for q, c in parse_series(text).terms]
+    assert got == [(q, repr(c)) for q, c in from_terms(drawn).terms]
+
 
 class TestParseErrors:
     def test_empty(self):
@@ -78,6 +146,43 @@ class TestParseErrors:
     def test_dangling_operator(self):
         with pytest.raises(ParseError):
             parse_series("1 +")
+
+
+# Every message the parsers raise, with its (line, column).
+_ERRORS = [
+    (parse_series, "   ", "empty series", 1, 4),
+    (parse_series, "1 + *t", "expected a number", 1, 5),
+    (parse_series, "1 +", "expected a number", 1, 4),
+    (parse_series, "2t", "expected '*' between coefficient and t", 1, 2),
+    (parse_series, "2 * x", "expected 't' after '*'", 1, 5),
+    (parse_series, "1 2i", "expected '+' or '-' between terms", 1, 3),
+    (parse_series, "2 i", "expected '+' or '-' between terms", 1, 3),
+    (parse_series, "t^(1/0)", "exponent denominator must be positive", 1, 6),
+    (parse_series, "t^( 1 / -2", "exponent denominator must be positive", 1, 9),
+    (parse_series, "1 + (1 - 2)", "malformed complex coefficient", 1, 5),
+    (parse_series, "(- 1)", "malformed complex coefficient", 1, 1),
+    (parse_series, "(+1)", "malformed complex coefficient", 1, 1),
+    (parse_series, "t^ x", "malformed exponent", 1, 4),
+    (parse_series, "t^- 1", "malformed exponent", 1, 3),
+    (parse_series, "t^(1/2", "malformed exponent", 1, 3),
+    (parse_matrix, "# header\n1; 2t\n3; 4", "expected '*' between coefficient and t", 2, 5),
+    (parse_matrix, "# only a comment\n\n", "no matrix rows found", 1, 1),
+    (parse_matrix, "1; 2\n3", "matrix is not square: row 2 has 1 entries, expected 2", 2, 1),
+    (parse_vector, "# note\n1 +\n", "expected a number", 2, 4),
+    (parse_vector, " \n", "no vector entries found", 1, 1),
+    (parse_polynomial, "# coefficients\npoly: 1; (2 + i", "malformed complex coefficient", 2, 10),
+    (parse_polynomial, "\n  1; 2", "expected 'poly:' header", 2, 3),
+    (parse_config, "truncation 9", "expected 'key = value'", 1, 1),
+    (parse_config, "# note\ntruncatoin = 9", "unknown config key 'truncatoin'", 2, 1),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line, col", _ERRORS,
+                         ids=[repr(text) for _, text, *_ in _ERRORS])
+def test_error_message_and_position(parse, text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{message} (line {line}, column {col})"
 
 
 class TestRoundTrip:
