@@ -1,8 +1,8 @@
 """The series kernels of lcpower on int exponent keys: the one
-implementation of the sum and its cleanup, the product, the inverse, the
-square root and the inverse square root (powers of one series, by one
-coefficient recurrence), the magnitude, the order comparison, the
-semi-norm and the vector operations of the power-iteration loop.
+implementation of the sum and of the sum of products, each cleaned up
+once, the inverse, the square root and the inverse square root (powers of
+one series, by one coefficient recurrence), the magnitude, the order
+comparison, the semi-norm and the vector operations of the loop.
 
 Every exponent of a computation lies on one lattice ``(1/D)Z``.  A number
 is a pair ``(terms, bound)``: ``terms`` is a sorted tuple of ``(k, c)``
@@ -126,27 +126,44 @@ def sub(a, b):
 def mul(a, b):
     """a * b, valid to min(T_a + val(b), T_b + val(a)).  Exact zero is
     absorbing and exact: the product is zero everywhere."""
-    (ta, ba), (tb, bb) = a, b
-    if not ta or not tb:
-        return ZERO
-    lb = tb[0][0]
-    x = ba + lb
-    y = bb + ta[0][0]
-    bound = x if x <= y else y
-    if len(tb) == 1:  # the products land on distinct keys, in order
-        acc = {qa + lb: 0.0 + ca * tb[0][1] for qa, ca in ta if qa + lb <= bound}
-    else:
-        acc = {}
-        get = acc.get
-        for qa, ca in ta:
-            room = bound - qa
-            if lb > room:
-                break
-            for qb, cb in tb:
-                if qb > room:
+    return sum_of_products(((a, b),))
+
+
+def sum_of_products(pairs):
+    """The sum of a * b over the pairs (a, b) in which neither is empty,
+    valid to the least of their products' bounds (see :func:`mul`).  Each
+    product is formed up to that bound and added as :func:`add` adds, in
+    pair order; the sum alone is cleaned up and checked for overflow."""
+    live, bound = [], INF
+    for (ta, ba), (tb, bb) in pairs:
+        if ta and tb:
+            x, y = ba + tb[0][0], bb + ta[0][0]
+            if x < bound or y < bound:
+                bound = x if x <= y else y
+            live.append((ta, tb))
+    acc = {}
+    for ta, tb in live:
+        lb = tb[0][0]
+        if len(tb) == 1:  # the products land on distinct keys, in order
+            cb, room = tb[0][1], bound - lb
+            product = {qa + lb: 0.0 + ca * cb for qa, ca in ta if qa <= room}
+        else:
+            product = {}
+            get = product.get
+            for qa, ca in ta:
+                room = bound - qa
+                if lb > room:
                     break
-                q = qa + qb
-                acc[q] = get(q, 0.0) + ca * cb
+                for qb, cb in tb:
+                    if qb > room:
+                        break
+                    q = qa + qb
+                    product[q] = get(q, 0.0) + ca * cb
+        if acc:
+            for q, c in product.items():
+                acc[q] = acc[q] + c if q in acc else c
+        else:
+            acc = product
     if not acc:
         return (), bound
     mags = list(map(abs, acc.values()))
@@ -154,8 +171,9 @@ def mul(a, b):
     # first; the sum sees it, and only a sum of huge finite ones needs all()
     if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
         raise ValueError("coefficient overflow in multiplication")
-    max_mag = max(mags)
-    eps = max(EPS_REL * max_mag, EPS_FLOOR)
+    eps = EPS_REL * max(mags)
+    if eps < EPS_FLOOR:
+        eps = EPS_FLOOR
     items = sorted(acc.items())
     if min(mags) > eps:
         return tuple(items), bound
@@ -302,12 +320,9 @@ def rsqrt(a):
 
 def magnitude(z):
     """|z| = sqrt(re(z)^2 + im(z)^2); a real input only flips its sign."""
-    if not z[0]:
-        return z
     if is_real(z):
-        return z if z[0][0][1].real > 0 else neg(z)
-    re, im = real_part(z), imag_part(z)
-    return sqrt(add(mul(re, re), mul(im, im)))
+        return z if not z[0] or z[0][0][1].real > 0 else neg(z)
+    return sqrt(_sum_abs_squares((z,)))
 
 
 def exact_diff(a, b):
@@ -370,47 +385,23 @@ def scaled(v, s):
     return clamp([mul(e, s) for e in v])
 
 
-def _add_product(acc, a, b):
-    """``add(acc, mul(a, b))`` for an accumulator that starts at ``ZERO``
-    and grows only by ``add``.  A product with an empty factor is ``ZERO``,
-    and adding it, or adding any product to ``ZERO``, only repeats a
-    cleanup already done with the same threshold."""
-    if not (a[0] and b[0]):
-        return acc
-    return mul(a, b) if acc is ZERO else add(acc, mul(a, b))
-
-
 def matvec(A, x):
     if len(A) != len(x):
         raise DegenerateInputError(f"dimension mismatch: {len(A)}x{len(A)} vs {len(x)}")
-    out = []
-    for row in A:
-        acc = ZERO
-        for a_ij, x_j in zip(row, x):
-            acc = _add_product(acc, a_ij, x_j)
-        out.append(acc)
-    return clamp(out)
+    return clamp([sum_of_products(zip(row, x)) for row in A])
 
 
 def _sum_abs_squares(v):
     """sum |v_i|^2, a complex entry through its real and imaginary parts,
     so the result has exactly real coefficients."""
-    acc = ZERO
-    for e in v:
-        if is_real(e):
-            acc = _add_product(acc, e, e)
-        else:
-            re, im = real_part(e), imag_part(e)
-            acc = _add_product(_add_product(acc, re, re), im, im)
-    return acc
+    return sum_of_products((p, p) for e in v
+                           for p in ((e,) if is_real(e) else (real_part(e), imag_part(e))))
 
 
 def rayleigh_numerator(u, au):
     """u* au = sum conj(u_i) au_i."""
-    num = ZERO
-    for u_i, au_i in zip(u, au):
-        num = _add_product(num, u_i if is_real(u_i) else conjugate(u_i), au_i)
-    return num
+    return sum_of_products((u_i if is_real(u_i) else conjugate(u_i), au_i)
+                           for u_i, au_i in zip(u, au))
 
 
 def constants(v):

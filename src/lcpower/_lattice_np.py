@@ -10,12 +10,13 @@ cut at its bound before it is checked or read.  ``EPS_REL`` and
 ``EPS_FLOOR`` apply only where a value is read: an entry read as a number,
 the numbers :func:`sum_abs_squares` and :func:`rayleigh_numerator` return,
 and in :func:`leading`, :func:`constants` and :func:`diff_semi_norms`.  So
-a result differs from the Python kernel's by the terms its cleanup drops,
-each at most ``EPS_REL`` of an intermediate's largest magnitude, and by
-another summation order's roundoff.  Bounds are ``mul``'s, ``val`` being
-the first stored nonzero key.  :func:`kernel` picks the kernel per solve.
-The operations take :class:`Vector` s, which :data:`NUMPY`'s ``laid``
-makes of numbers; a real coefficient reads as a float, as in ``_lattice``.
+a result differs from the Python kernel's, which cleans a sum of products
+once as it forms it, by the terms that cleanup drops, each at most
+``EPS_REL`` of an intermediate's largest magnitude, and by another
+summation order's roundoff.  Bounds are ``mul``'s, ``val`` being the first
+stored nonzero key.  :func:`kernel` picks the kernel per solve.  The
+operations take :class:`Vector` s, which :data:`NUMPY`'s ``laid`` makes of
+numbers; a real coefficient reads as a float, as in ``_lattice``.
 """
 
 from __future__ import annotations

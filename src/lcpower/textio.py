@@ -152,20 +152,20 @@ def _split_spans(text: str, start: int, end: int, sep: str):
 def parse_matrix(text: str) -> LCMatrix:
     """Parse a square matrix: one row per line, entries separated by ';'."""
     padded = _strip_comments(text)
-    rows = []
-    for start, end in _line_spans(padded):
+    rows, lines = [], []
+    for line, (start, end) in enumerate(_line_spans(padded), 1):
         if padded[start:end].strip() == "":
             continue
-        row = [_parse_series_at(padded, s, e)
-               for s, e in _split_spans(padded, start, end, ";")]
-        rows.append(row)
+        rows.append([_parse_series_at(padded, s, e)
+                     for s, e in _split_spans(padded, start, end, ";")])
+        lines.append(line)
     if not rows:
         raise ParseError("no matrix rows found")
     n = len(rows)
-    for i, row in enumerate(rows):
+    for i, (row, line) in enumerate(zip(rows, lines)):
         if len(row) != n:
             raise ParseError(f"matrix is not square: row {i + 1} has {len(row)} "
-                             f"entries, expected {n}", i + 1)
+                             f"entries, expected {n}", line)
     return LCMatrix(rows)
 
 

@@ -10,9 +10,10 @@ of :mod:`lcpower.linalg`, and the loop of :func:`lcpower.solver.solve`, as
 they ran before all of them moved onto int exponent keys.  The inverse,
 the square root and the l2 normalization's inverse root are the kernel's
 power recurrence with the same float operations in the same order, on
-``Fraction`` exponents.  Nothing here calls the kernel: arithmetic goes
-through :func:`add`, :func:`sub` and :func:`mul`, never through ``+``,
-``-`` or ``*`` on ``LCNumber``.
+``Fraction`` exponents, and a sum of products is cleaned up once, as
+there.  Nothing here calls the kernel: arithmetic goes through
+:func:`add`, :func:`sub`, :func:`mul` and :func:`sum_of_products`, never
+through ``+``, ``-`` or ``*`` on ``LCNumber``.
 Truncation, exponent shifts, constants, the start vector and the
 constant-part power iteration are the package's own (they never call the
 kernel).  The loop has no restart: it raises where ``solve`` restarts.
@@ -134,12 +135,9 @@ def eq_up_to(a, b, r, tol):
     return worst <= tol
 
 
-def mul(a, b):
-    if not a.terms or not b.terms:
-        return LCNumber((), INF)
-    la = a.terms[0][0]
-    lb = b.terms[0][0]
-    bound = min(a.valid_to + lb, b.valid_to + la)
+def _product(a, b, bound):
+    """The coefficients of a * b at the exponents up to ``bound``, each
+    summed as the kernel's ``mul`` sums it."""
     # convolve on a common integer exponent grid
     grid = 1
     for q, _ in a.terms + b.terms:
@@ -161,6 +159,21 @@ def mul(a, b):
             if ibound is not None and q > ibound:
                 break
             acc[q] = acc.get(q, 0j) + ca * cb
+    return {Fraction(q, grid): c for q, c in acc.items()}
+
+
+def sum_of_products(pairs):
+    """sum a * b over the pairs with no empty factor, valid to the least
+    of the products' bounds; the products add in pair order, and the sum
+    alone is cleaned up."""
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    if not pairs:
+        return LCNumber((), INF)
+    bound = min(min(a.valid_to + b.terms[0][0], b.valid_to + a.terms[0][0]) for a, b in pairs)
+    acc = {}
+    for a, b in pairs:
+        for q, c in _product(a, b, bound).items():
+            acc[q] = acc[q] + c if q in acc else c
     if not acc:
         return LCNumber((), bound)
     mags = [abs(c) for c in acc.values()]
@@ -168,8 +181,11 @@ def mul(a, b):
         raise ValueError("coefficient overflow in multiplication")
     max_mag = max(mags)
     eps = max(core.EPS_REL * max_mag, core.EPS_FLOOR)
-    return LCNumber(tuple((Fraction(q, grid), c)
-                          for q, c in sorted(acc.items()) if abs(c) > eps), bound)
+    return LCNumber(tuple((q, c) for q, c in sorted(acc.items()) if abs(c) > eps), bound)
+
+
+def mul(a, b):
+    return sum_of_products([(a, b)])
 
 
 def _split_leading(a):
@@ -254,7 +270,7 @@ def magnitude(z):
     if is_real(z):
         return z if z.terms[0][1].real > 0 else neg(z)
     re, im = real_part(z), imag_part(z)
-    return sqrt(add(mul(re, re), mul(im, im)))
+    return sqrt(sum_of_products([(re, re), (im, im)]))
 
 
 # -- vectors ------------------------------------------------------------------------
@@ -267,21 +283,11 @@ def scaled(x, s):
 def matvec(A, x):
     if A.n != len(x):
         raise DegenerateInputError(f"dimension mismatch: {A.n}x{A.n} vs {len(x)}")
-    out = []
-    for row in A.rows:
-        acc = core.zero()
-        for a_ij, x_j in zip(row, x.entries):
-            acc = add(acc, mul(a_ij, x_j))
-        out.append(acc)
-    return LCVector(out)
+    return LCVector([sum_of_products(zip(row, x.entries)) for row in A.rows])
 
 
 def _sum_abs_squares(x):
-    acc = core.zero()
-    for e in x.entries:
-        re, im = real_part(e), imag_part(e)
-        acc = add(add(acc, mul(re, re)), mul(im, im))
-    return acc
+    return sum_of_products((p, p) for e in x.entries for p in (real_part(e), imag_part(e)))
 
 
 def norm_l2(x):
@@ -323,9 +329,7 @@ def rayleigh_quotient_from_action(u, au):
     s = _sum_abs_squares(u)
     if core.constant_part(s).real <= 0.0:
         raise DegenerateInputError("vector norm has vanishing constant part")
-    num = core.zero()
-    for u_i, au_i in zip(u.entries, au.entries):
-        num = add(num, mul(conjugate(u_i), au_i))
+    num = sum_of_products((conjugate(u_i), au_i) for u_i, au_i in zip(u.entries, au.entries))
     return mul(num, invert(s))
 
 

@@ -126,6 +126,18 @@ class TestInvert:
         with pytest.raises(PrecisionError):
             invert(lc("1 + t"))
 
+    def test_bound_truncates_the_input(self):
+        a = lc("2 + t + t^5")
+        got = invert(a, bound=3)
+        assert got.valid_to == F(3)
+        assert got.terms == invert(truncated(a, 3)).terms
+
+    def test_coefficient_overflow_raises(self):
+        # the recurrence's coefficients grow like 1e13^k and leave the float range
+        for series_op in (invert, sqrt):
+            with pytest.raises(ValueError, match="coefficient overflow in multiplication"):
+                series_op(lc("1 + 1e13*t"), bound=30)
+
     def test_roundtrip_window(self):
         a = from_terms([(1, 2.0), (2, 1.0), (3, -0.5)], valid_to=6)
         inv = invert(a)
@@ -161,6 +173,15 @@ class TestSqrt:
         r = sqrt(a)
         assert r.terms[0] == (F(1, 2), 2 + 0j)
         assert eq_up_to(r * r, a, r.valid_to, 1e-12)
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: a + "x", lambda a: "x" + a, lambda a: a - "x", lambda a: "x" - a,
+    lambda a: a * "x", lambda a: "x" * a, lambda a: a / "x", lambda a: "x" / a,
+    lambda a: a ** 0.5])
+def test_non_number_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(constant(2))
 
 
 class TestComplexOps:

@@ -118,9 +118,9 @@ def _failure(exc):
     """What an exception reports.  A coefficient that leaves the float
     range is one failure, whether ``abs`` meets it first (``OverflowError``)
     or a check for a non-finite sum (``ValueError``): which one comes first
-    depends on the order of the sums.  In ``ACTION_CASES["abs-overflows"]``
-    ``_lattice.matvec`` meets a product whose magnitude overflows before it
-    adds, and the numpy kernel a row sum with an infinite part."""
+    depends on the order of the sums.  A product whose parts are finite but
+    whose magnitude overflows meets ``abs`` alone, and a sum of two such
+    products an infinite part."""
     overflow = isinstance(exc, OverflowError) or (
         type(exc) is ValueError and "overflow" in str(exc))
     return "overflow" if overflow else type(exc)
@@ -290,7 +290,7 @@ def test_reference_never_calls_the_kernel(monkeypatch):
     def disabled(*args):
         raise AssertionError("the reference called the kernel")
 
-    for name in ("add", "mul", "compare", "semi_norm"):
+    for name in ("add", "mul", "sum_of_products", "compare", "semi_norm"):
         monkeypatch.setattr(lk, name, disabled)
     result, _trace = reference_loop.solve(A, cfg)
     assert result.converged
@@ -538,13 +538,13 @@ ACTION_CASES = {
                                      (((0, 1 + 0j), (1, 1e300 + 0j)), 1)),
     # (-1) * (-2) has the imaginary part -0.0, which mul's 0j + p clears
     "signed-zeros": _uniform((((0, -1 + 0j),), INF), (((0, -2 + 0j),), INF)),
-    # t^1 * 1e20 sets the second add's cleanup but lies above the row's
-    # bound 0, so it must not set the third add's: t^-1 stays
+    # t^1 * 1e20 lies above the row's bound 0, so it must not set the
+    # row's cleanup: t^-1 stays
     "bound-filter-each-add": (((ONE, (((1, 1e20 + 0j),), INF), ONE),) * 3,
                               ((((0, 1e7 + 0j),), 0), ONE, (((-1, 1 + 0j),), INF))),
-    # ragged rows of 3, 2 and 1 stored entries: row 0's second add clears
-    # its t^1 against 1e20, which its third add cancels, so t^1 must not
-    # come back; row 1 never clears, and row 2's pads repeat its cleanup
+    # ragged rows of 3, 2 and 1 stored entries: row 0's 1e20 and -1e20
+    # cancel, and its sum, cleaned up once, keeps t^1; rows 1 and 2 hold
+    # empty pads
     "ragged-rows": (((_number((1, 1.0)), _number((0, 1e20)), _number((0, -1e20))),
                      (ONE, ONE, lk.ZERO), (lk.ZERO, lk.ZERO, ONE)), (ONE,) * 3),
 }
@@ -589,9 +589,11 @@ def _size(a):
 
 def _action_tolerance(M, x):
     """``close``'s tolerance for ``matvec(M, x)``: a key of a row gets n
-    products and n sums, each cleaned up, and the numpy kernel's read
-    cleans it once more; every product and partial sum is at most S (see
-    ``test_matvec_bound``), and no sum moves a term to another key."""
+    products and n sums; it allows a cleanup after each of them and one
+    more for the numpy kernel's read, though each kernel cleans a row once,
+    which leaves room for the two summation orders' roundoff.  Every
+    product and partial sum is at most S (see ``test_matvec_bound``), and
+    no sum moves a term to another key."""
     S = max(sum(_size(a) * _size(e) for a, e in zip(row, x)) for row in M)
     return _cleanup_tolerance(2 * len(x) + 1, 1, S)
 
@@ -619,10 +621,10 @@ class _Drawn:
 def test_matvec_bound(case, data):
     """Changing every input above its bound does not change the product on
     the bound it claims, on either kernel.  Both runs add the same
-    contributions to every key on that window in the same order; only
-    mul's and add's cleanup, relative to a largest magnitude that the keys
-    above the window take part in, may drop a term in one run and keep it
-    in the other, so the runs may differ by that cleanup's EPS_REL.  An
+    contributions to every key on that window in the same order; only a
+    row's one cleanup, relative to a largest magnitude that the keys above
+    the window take part in, may drop a term in one run and keep it in the
+    other, so the runs may differ by that cleanup's EPS_REL.  An
     empty entry is an exact zero to ``mul`` (see
     ``test_empty_factor_claims_exact_zero``) and stays unchanged."""
     M, x = case
@@ -660,7 +662,7 @@ def test_empty_factor_claims_exact_zero():
 
 # -- the numpy vector operations -------------------------------------------------------
 
-# magnitudes over 35 orders: the chain's cleanup drops keys at many adds
+# magnitudes over 35 orders: the cleanup drops many keys
 wide = st.builds(lambda e, s: s * 10.0 ** e, st.floats(-25, 10), st.sampled_from([-1.0, 1.0]))
 vector_coefficients = st.sampled_from([
     coefficients, units, st.one_of(wide, st.builds(complex, wide, wide)),
@@ -713,10 +715,11 @@ def _close_vector_ops(u, au=None, s=None):
         _close_scaled(u, s)
 
 
-# Each sum of products cleans up after each of its products and sums, and
-# the numpy kernel's read once more, every product and partial sum being at
-# most S; no sum moves a term to another key.  |u_i|^2 sums the squares of
-# the real and imaginary parts, each at most l1(u_i)^2.
+# Each tolerance allows a cleanup after each product and sum of a sum of
+# products and one more for the numpy kernel's read, though each kernel
+# cleans the sum once; every product and partial sum is at most S, and no
+# sum moves a term to another key.  |u_i|^2 sums the squares of the real
+# and imaginary parts, each at most l1(u_i)^2.
 
 def _close_sum_abs_squares(u):
     close(lambda: lk._sum_abs_squares(u), lambda: lnp.sum_abs_squares(on_numpy(u)),
@@ -755,14 +758,14 @@ def test_numpy_loop_step(case, trunc, norm_kind):
     overflow that both kernels meet.
 
     The chains of the two kernels are not compared as wholes.  The Python
-    kernel cleans up every intermediate, relative to terms above a result's
-    bound or a later truncation too, the numpy kernel only what it reads,
-    and a loop check, a tie verdict or a bound can turn on a term within
-    the cleanup tolerance, either way.  So ``(0.05 t^-3 - 1e11)^2`` keeps
-    ``0.0025 t^-6`` on numpy alone, and the max-normalized vector's
-    ``t^-3`` term then fails the Rayleigh quotient; a row of
-    ``matvec(M, ax)`` that ``_lattice`` cleans against a key above its
-    clamp makes the quotient fail on Python alone; and a key-0 term at
+    kernel cleans up every result when it is formed, a sum of products as a
+    whole, relative to terms above a later truncation or clamp too, the
+    numpy kernel only what it reads, and a loop check, a tie verdict or a
+    bound can turn on a term within the cleanup tolerance, either way.  So
+    ``(0.05 t^-3 - 1e11)^2`` keeps ``0.0025 t^-6`` on numpy alone, and the
+    max-normalized vector's ``t^-3`` term then fails the Rayleigh quotient;
+    a row of ``matvec(M, ax)`` that ``_lattice`` cleans against a key above
+    its clamp makes the quotient fail on Python alone; and a key-0 term at
     ``EPS_REL`` of a key-2 term, dropped by ``_lattice`` before the
     truncation at 0, changes the normalized vector and its tie verdict."""
     M, x = tuple(map(_cleaned, case[0])), _cleaned(case[1])
@@ -819,8 +822,8 @@ def _checking(M):
 
 def _recorded(reference):
     """``(m, S, W)`` of the Python kernel's run of ``reference``: how many
-    results ``mul``, ``add`` and ``_power`` cleaned up, over how many keys,
-    and the largest magnitude in any of them.  A chain of operations has
+    results ``sum_of_products``, ``add`` and ``_power`` cleaned up, over how
+    many keys, and the largest magnitude in any of them.  A chain of operations has
     no closed-form S; the run's own intermediates bound every value that a
     dropped term feeds."""
     m, keys, S = 0, set(), 0.0
@@ -835,8 +838,8 @@ def _recorded(reference):
             return out
         return recorded
 
-    with mock.patch.multiple(lk, mul=record(lk.mul), add=record(lk.add),
-                             _power=record(lk._power)):
+    with mock.patch.multiple(lk, sum_of_products=record(lk.sum_of_products),
+                             add=record(lk.add), _power=record(lk._power)):
         try:
             reference()
         except Exception:  # close() then compares the failures
@@ -889,8 +892,8 @@ def test_numpy_real_lane_vector_ops(case):
 
 
 VECTOR_CASES = {
-    # key 4 (1e20) lies above the second add's bound 1 but sets its cleanup,
-    # which then drops key 0
+    # key 4 (1e20) of the first square lies above the sum's bound 1, so it
+    # is never formed and does not set the cleanup: key 0 keeps 1e-10
     "chain-max-above-bound": ((_number((0, 1e-5), (2, 1e10)), _number((0, 1e-3), bound=1)),
                               None, None),
     # an empty entry, and an empty imaginary part, are skipped with their bounds
@@ -1010,23 +1013,38 @@ _factors = st.one_of(coefficients, huge)
 
 
 @SLOW
-@given(st.sampled_from([1, 2, 3]).flatmap(lambda g: st.tuples(
-    lattice_numbers(g, _factors), lattice_numbers(g, _factors), lattice_numbers(g, _factors))))
-@example(((((0, 1e200 + 0j),), INF), (((0, 1e200 + 0j),), INF), lk.ZERO))  # overflow
-@example(((((0, 1 + 0j), (1, 1e200 + 0j), (2, 1e300 + 0j)), INF),  # inf - inf: a NaN
-          (((0, -1e10 + 0j), (1, 1e200 + 0j), (2, 1 + 0j)), 2), lk.ZERO))
-@example((((), 2), (((0, 1 + 0j),), INF), lk.ZERO))  # an empty factor
-@example(((((0, 1 + 0j),), INF), (((0, 1 + 0j),), INF), ((), 2)))  # a sum that cancelled
-def test_add_product_is_the_sum_with_the_product(numbers):
-    """``_add_product(acc, a, b)`` is ``add(acc, mul(a, b))`` on cleaned
-    numbers.  On ``acc = ZERO`` it returns ``mul(a, b)`` itself: the sum
-    would only repeat the cleanup ``mul`` gave its product, with the same
-    threshold.  On an empty factor it returns ``acc``, whose cleanup the
-    sum would repeat."""
-    *pair, partial_sum = _cleaned(numbers)
-    for a, b in (pair, _typed(pair, float)):
-        for acc in (lk.ZERO, partial_sum):
-            same(lambda: lk.add(acc, lk.mul(a, b)), lambda: lk._add_product(acc, a, b))
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda g: st.lists(
+    st.tuples(lattice_numbers(g, _factors), lattice_numbers(g, _factors)), max_size=4)))
+@example([((((0, 1e200 + 0j),), INF), (((0, 1e200 + 0j),), INF))])  # overflow
+@example([((((0, 1 + 0j), (1, 1e200 + 0j), (2, 1e300 + 0j)), INF),  # inf - inf: a NaN
+           (((0, -1e10 + 0j), (1, 1e200 + 0j), (2, 1 + 0j)), 2))])
+@example([(((), 2), (((0, 1 + 0j),), INF)), ((((0, 1 + 0j),), 0), ONE)])  # an empty factor
+@example([(ONE, ONE), ((((0, -1 + 0j),), INF), ONE)])  # a sum that cancels
+@example([((((0, 1 + 0j), (2, 1e300 + 0j)), INF),) * 2,  # overflows only above the least
+          ((((0, 1 + 0j),), 1), ONE)])                   # bound, 1: never formed
+def test_sum_of_products(pairs):
+    """``sum_of_products`` of one pair is the reference's ``mul`` and of
+    several pairs the reference's sum, bit for bit, on complex and on float
+    coefficients."""
+    lat = Lattice([], [])
+    numbers = [[lat.to_number(a), lat.to_number(b)] for a, b in pairs]
+    same(lambda: reference_loop.sum_of_products(numbers),
+         lambda: lat.to_number(lk.sum_of_products(pairs)))
+    for (a, b), pair in zip(numbers, pairs):
+        same(lambda: reference_loop.mul(a, b), lambda: lat.to_number(lk.sum_of_products([pair])))
+    _same_on_both_types(lk.sum_of_products, pairs)
+
+
+def test_sum_of_products_cleans_once():
+    """A sum of products is cleaned up once, as a whole: in (1 + 1e-7 t)^2
+    - 0.9, the square's 1e-14 t^2 lies at EPS_REL of its constant 1, which
+    the sum cancels to 0.1, so the sum keeps it, as the grid does."""
+    a, one = core.from_terms([(0, 1.0), (1, 1e-7)]), core.constant(1.0)
+    A, x = LCMatrix([[a, core.constant(-0.9)], [core.zero(), one]]), LCVector([a, one])
+    assert linalg.matvec(A, x)[0][2] == 1e-7 * 1e-7
+    lat = lattice(*A.rows, x)
+    M, kx = tuple(lat.vector(row) for row in A.rows), lat.vector(x)
+    assert lk.matvec(M, kx) == tuple(lnp.MatrixAction(M)(on_numpy(kx)))
 
 
 @st.composite
@@ -1365,8 +1383,8 @@ def test_magnitude_bound(z, negated, data):
     complex one takes the root of ``re^2 + im^2``, whose leading
     coefficient is ``|c|^2`` and whose remainder has the l1 norm at most
     ``e (2 + e)``, ``e`` that of ``z``'s remainder: ``test_series_bound``'s
-    majorant for the root, with the cleanups of the two squares and the
-    sum added."""
+    majorant for the root, with room for a cleanup of each square and of
+    the sum, which is cleaned once."""
     if negated:
         z = lk.neg(z)
     z2 = _changed(data, z, small_reals if lk.is_real(z) else small)

@@ -328,18 +328,20 @@ class TestSolve:
 # The start lies close to the subdominant eigenvector, and roundoff wipes
 # the dominant component out: the l2 normalization loses its constant part
 # (seed 19, accepted draw 46825, 0-based), or the iterate's infinitesimal
-# terms grow until the Rayleigh quotient's sum |u_i|^2 loses its constant
-# term to the cleanup (bench set 0 at seed 19, solve 28, and set 3 at seed
-# 77, solve 38).  At seed 4501 (set 0, solve 41), step 20's sum |y_i|^2 has
-# terms up to 2e13 at t^6, so the cleanup drops its constant term and it
-# leads with a negative t^(1/2) term, which has no square root.
+# terms grow until a sum |y_i|^2 loses its constant term to the cleanup.
+# That sum is the Rayleigh quotient's in set 3 at seed 77, solve 38, and at
+# step 20 of set 0 at seed 4501, solve 41 (terms up to 8e15 at t^(13/2)).
+# It is the l2 normalization's at step 5 of bench set 0 at seed 19, solve
+# 28 (terms up to 8e13 at t^6), which then leads with a t^(1/2) term.
 LOST_START = {
     "LostDominanceError": (LostDominanceError, (
         "-0.35082057556110513 - 0.1891428000398228*t^(1/2) + 0.12608772758032227*t^4; "
         "-0.4281298565268985 - 0.01732938634180109*t^2 + 0.24220219339055654*t^6\n"
         "-2.3278261741310273 + 0.2959264167778172*t^3; "
         "1.5421262809719476 + 0.1281968243240651*t^(9/2)")),
-    "DegenerateInputError-seed19": (DegenerateInputError, (
+    # named for the check it first failed, the Rayleigh quotient's, before
+    # a sum of products was cleaned up once
+    "DegenerateInputError-seed19": (LostDominanceError, (
         "2.0896846348536835 - 0.21508547173172474*t^3; "
         "-2.6393273894761364 - 0.07059629276403367*t^3\n"
         "-2.106735512794197 - 0.08080968277912193*t^(1/2) + 0.10671963644435051*t^5; "
@@ -349,7 +351,7 @@ LOST_START = {
         "1.4126848534751701 + 0.23387905692999372*t^6\n"
         "2.225885637964393 - 0.27013163782988575*t^(1/2); "
         "-0.8962767590555512 - 0.02326211541997264*t^2")),
-    "sum-loses-constant-term": (LostDominanceError, (
+    "sum-loses-constant-term": (DegenerateInputError, (
         "-0.23132740430389465; 1.6964435142283047 - 0.20271784455322545*t^6\n"
         "1.9160913873988399 - 0.11913614013204979*t^4; "
         "-0.45344953735361226 + 0.07721204498674678*t^(1/2)")),

@@ -168,6 +168,8 @@ _ERRORS = [
     (parse_matrix, "# header\n1; 2t\n3; 4", "expected '*' between coefficient and t", 2, 5),
     (parse_matrix, "# only a comment\n\n", "no matrix rows found", 1, 1),
     (parse_matrix, "1; 2\n3", "matrix is not square: row 2 has 1 entries, expected 2", 2, 1),
+    (parse_matrix, "# header\n1; 2\n3", "matrix is not square: row 2 has 1 entries, expected 2",
+     3, 1),
     (parse_vector, "# note\n1 +\n", "expected a number", 2, 4),
     (parse_vector, " \n", "no vector entries found", 1, 1),
     (parse_polynomial, "# coefficients\npoly: 1; (2 + i", "malformed complex coefficient", 2, 10),
