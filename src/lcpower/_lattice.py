@@ -129,12 +129,13 @@ def mul(a, b):
     return sum_of_products(((a, b),))
 
 
-def sum_of_products(pairs):
+def sum_of_products(pairs, bound=INF):
     """The sum of a * b over the pairs (a, b) in which neither is empty,
-    valid to the least of their products' bounds (see :func:`mul`).  Each
-    product is formed up to that bound and added as :func:`add` adds, in
-    pair order; the sum alone is cleaned up and checked for overflow."""
-    live, bound = [], INF
+    valid to the least of their products' bounds (see :func:`mul`) and
+    ``bound``.  Each product is formed up to that bound and added as
+    :func:`add` adds, in pair order; the sum alone is cleaned up and
+    checked for overflow."""
+    live = []
     for (ta, ba), (tb, bb) in pairs:
         if ta and tb:
             x, y = ba + tb[0][0], bb + ta[0][0]
@@ -359,7 +360,15 @@ def semi_norm(a, r: int, D: int) -> float:
 def clamp(entries):
     """The ``LCVector`` constructor: truncate to the smallest entry bound."""
     bound = min(e[1] for e in entries)
+    if _held(entries, bound):
+        return tuple(entries)
     return tuple(truncated(e, bound) for e in entries)
+
+
+def _held(v, bound) -> bool:
+    """Whether every entry of ``v`` has the bound ``bound`` and no term above it,
+    so that truncating them all to it returns them."""
+    return all(b == bound and (not terms or terms[-1][0] <= bound) for terms, b in v)
 
 
 def laid_coefficient(c):
@@ -374,10 +383,14 @@ def laid_vector(v):
 
 
 def truncated_vector(v, bound):
+    if v and v[0][1] <= bound and _held(v, v[0][1]):
+        return tuple(v)
     return clamp([truncated(e, bound) for e in v])
 
 
 def retruncated_vector(v, bound):
+    if _held(v, bound):
+        return tuple(v)
     return clamp([retruncate(e, bound) for e in v])
 
 
@@ -388,7 +401,16 @@ def scaled(v, s):
 def matvec(A, x):
     if len(A) != len(x):
         raise DegenerateInputError(f"dimension mismatch: {len(A)}x{len(A)} vs {len(x)}")
-    return clamp([sum_of_products(zip(row, x)) for row in A])
+    # one bound for the whole vector: no row forms, cleans against or
+    # overflows on the keys above it, which the clamp would discard
+    bound = INF
+    for row in A:
+        for (ta, ba), (tb, bb) in zip(row, x):
+            if ta and tb:
+                p, q = ba + tb[0][0], bb + ta[0][0]
+                if p < bound or q < bound:
+                    bound = p if p <= q else q
+    return clamp([sum_of_products(zip(row, x), bound) for row in A])
 
 
 def _sum_abs_squares(v):
@@ -418,7 +440,47 @@ def leading(v):
 def diff_semi_norms(a, b, r: int, D: int):
     """``semi_norm(sub(a_i, b_i), r, D)`` of each pair of entries, computed
     as it is read, so a reader that stops early raises no later error."""
-    return (semi_norm(sub(ea, eb), r, D) for ea, eb in zip(a, b))
+    return (_diff_semi_norm(ea, eb, r, D) for ea, eb in zip(a, b))
+
+
+def _diff_semi_norm(a, b, r: int, D: int) -> float:
+    """``semi_norm(sub(a, b), r, D)`` in one pass: the magnitudes of the
+    differences, merged in key order as :func:`add` merges them (``|-c| ==
+    |c|``, ``a - b == a + (-b)``), cleaned against their largest, which
+    ``max()`` takes in the same order."""
+    (ta, ba), (tb, bb) = a, b
+    bound = ba if ba <= bb else bb
+    keys, mags = [], []
+    i = j = 0
+    na, nb = len(ta), len(tb)
+    while i < na and j < nb:
+        qa, ca = ta[i]
+        qb, cb = tb[j]
+        if qa < qb:
+            keys.append(qa)
+            mags.append(abs(ca))
+            i += 1
+        elif qb < qa:
+            keys.append(qb)
+            mags.append(abs(cb))
+            j += 1
+        else:
+            keys.append(qa)
+            mags.append(abs(ca - cb))
+            i += 1
+            j += 1
+    for q, c in ta[i:] or tb[j:]:
+        keys.append(q)
+        mags.append(abs(c))
+    top = max(mags, default=0.0)
+    if not math.isfinite(top):
+        raise ValueError("coefficient overflow in addition")
+    if r > bound:
+        semi_norm(((), bound), r, D)  # raises
+    if top == 0.0:
+        return 0.0
+    eps = max(EPS_REL * top, EPS_FLOOR)
+    return max((m for q, m in zip(keys, mags) if m > eps and q <= r), default=0.0)
 
 
 class VectorOps(NamedTuple):
@@ -524,4 +586,4 @@ def weakly_converged(a, b, quotients: Callable, r: int, tol: float, D: int,
     if any(d >= tol for d in ops.diff_semi_norms(a, b, r, D)):
         return False
     rho_prev, rho_curr = quotients()
-    return semi_norm(sub(rho_curr, rho_prev), r, D) < tol
+    return _diff_semi_norm(rho_curr, rho_prev, r, D) < tol

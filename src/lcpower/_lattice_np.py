@@ -14,9 +14,19 @@ a result differs from the Python kernel's, which cleans a sum of products
 once as it forms it, by the terms that cleanup drops, each at most
 ``EPS_REL`` of an intermediate's largest magnitude, and by another
 summation order's roundoff.  Bounds are ``mul``'s, ``val`` being the first
-stored nonzero key.  :func:`kernel` picks the kernel per solve.  The
-operations take :class:`Vector` s, which :data:`NUMPY`'s ``laid`` makes of
-numbers; a real coefficient reads as a float, as in ``_lattice``.
+stored nonzero key.  :func:`kernel` picks the kernel per solve, and
+:func:`scaled_kernel` for ``solve``'s normalized matrix.  The operations
+take :class:`Vector` s, which :data:`NUMPY`'s ``laid`` makes of numbers; a
+real coefficient reads as a float, as in ``_lattice``.
+
+Summation order: a convolution sums, at each key slot, the products of the
+shorter factor's slots in ascending order, starting from an exact zero
+(:func:`_convolve`: one reduction over the first slots, then a pass per
+slot).  The fast paths keep those bits: :func:`scaled` by a one-term
+number multiplies the array (the one-row convolution), and the
+normalized matrix derived from the matrix's layout equals the layout of
+its entries' products.  ``tests/test_fast_paths.py`` holds the code they
+replace and checks them against it bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +49,45 @@ def kernel(M, ops=None):
     if ops is NUMPY or ops is None and sum(1 for row in M for a in row if a[0]) >= MIN_PAIRS:
         return MatrixAction(M), NUMPY
     return partial(_lattice.matvec, tuple(map(_lattice.PYTHON.laid, M))), _lattice.PYTHON
+
+
+def scaled_kernel(A, shift: int, c):
+    """``kernel(M)`` of ``M = c t^shift A``, ``mul(shift(e, shift), c)`` entry
+    by entry, and A's action on the same kernel: ``(M's action, ops, A's
+    action)``.  On the grid A is laid out once and M's layout derived from
+    it; where that could give other bits than laying out M (a complex
+    ``c``, a term above its bound, a value that is not finite) M is laid
+    out from its entries."""
+    flat = [e for row in A for e in row]
+    # M has at most A's nonempty entries: a kernel on the grid needs A's layout
+    a = _layout(flat) if sum(1 for e in flat if e[0]) >= MIN_PAIRS else None
+    m = (_scaled_layout(a, [bool(e[0]) for e in flat], shift, c) if a is not None
+         and type(c) is float and all(not t or t[-1][0] <= b for t, b in flat) else None)
+    if m is not None and np.count_nonzero(m.arr.any(axis=0)) >= MIN_PAIRS:
+        return MatrixAction(m), NUMPY, MatrixAction(a)
+    factor = (((0, c),), INF)
+    action, ops = kernel(tuple(tuple(_lattice.mul(_lattice.shift(e, shift), factor) for e in row)
+                               for row in A))
+    return action, ops, MatrixAction(a) if ops is NUMPY else kernel(A, ops)[0]
+
+
+def _scaled_layout(a: Vector, has_terms, shift: int, c: float):
+    """``_layout`` of the products ``mul(shift(e, shift), c)`` of the entries
+    ``e`` laid out as ``a`` (``has_terms`` tells an entry without terms,
+    which becomes the exact zero): each column scaled and cleaned as the
+    entry's product is, on the grid of the terms kept.  None where a value
+    or its magnitude is not finite; there the products raise."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = 0.0 + a.arr * c
+    if not np.isfinite(_magnitudes(arr)).all():
+        return None
+    arr = _cleaned(arr)
+    slots, cols = np.nonzero(arr)
+    coeffs = arr[slots, cols]
+    if coeffs.dtype.kind == "c" and not coeffs.imag.any():  # every coefficient kept is real
+        coeffs = coeffs.real
+    return _grid(a.base + shift + a.g * slots, coeffs, cols,
+                 np.where(has_terms, a.bounds + shift, INF))
 
 
 class Vector:
@@ -66,25 +115,39 @@ class Vector:
 
 
 def _layout(v) -> Vector:
-    """The numbers ``v`` as a :class:`Vector` on the gcd of their key offsets,
-    float64 where every coefficient is real (``_lattice.laid_coefficient``)."""
-    bounds = np.array([float(b) for _, b in v])
+    """The numbers ``v`` as a :class:`Vector` (:func:`_grid`), each
+    coefficient as ``_lattice.laid_coefficient`` lays it."""
     terms = [(k, _lattice.laid_coefficient(c), i) for i, (e, _) in enumerate(v) for k, c in e]
-    if not terms:
-        return Vector(np.zeros((0, len(v))), 0, 1, bounds)
-    keys, coeffs, cols = map(np.array, zip(*terms))
+    keys, coeffs, cols = map(np.array, zip(*terms)) if terms else ((),) * 3
+    return _grid(keys, coeffs, cols, np.array([float(b) for _, b in v]))
+
+
+def _grid(keys, coeffs, cols, bounds) -> Vector:
+    """The terms ``(keys[i], coeffs[i])`` of the numbers ``cols[i]`` as a
+    :class:`Vector` on the gcd of their key offsets from the least, float64
+    where ``coeffs`` is real."""
+    if not len(keys):
+        return Vector(np.zeros((0, len(bounds))), 0, 1, bounds)
     base = int(keys.min())
     g = int(np.gcd.reduce(keys - base)) or 1
-    arr = np.zeros(((int(keys.max()) - base) // g + 1, len(v)), coeffs.dtype)
+    arr = np.zeros(((int(keys.max()) - base) // g + 1, len(bounds)), coeffs.dtype)
     arr[(keys - base) // g, cols] = coeffs
     return Vector(arr, base, g, bounds)
+
+
+def _magnitudes(arr):
+    """``abs`` of each coefficient: ``hypot`` of the parts, which numpy's
+    complex abs is not, and of a real array its abs (``hypot(x, 0) == |x|``)."""
+    if arr.dtype.kind != "c":
+        return np.abs(arr)
+    with np.errstate(over="ignore"):
+        return np.hypot(arr.real, arr.imag)
 
 
 def _cleaned(arr):
     """``arr`` with each column cleaned up as ``add`` cleans a number; a
     magnitude that overflows raises as ``abs`` does."""
-    with np.errstate(over="ignore"):  # abs is hypot, which numpy's complex abs is not
-        mags = np.hypot(arr.real, arr.imag)
+    mags = _magnitudes(arr)
     top = mags.max(axis=0, initial=0.0)
     if not np.isfinite(top).all():
         raise OverflowError("absolute value too large")
@@ -150,8 +213,9 @@ class MatrixAction:
     of its occupied key slots as one ``n x n`` block, for ``x @ block``."""
 
     def __init__(self, M):
-        n = self._n = len(M)
-        a = _layout([e for row in M for e in row])  # column i*n + j
+        """``M`` as rows of numbers, or laid out as a :class:`Vector` (column ``i*n + j``)."""
+        a = M if isinstance(M, Vector) else _layout([e for row in M for e in row])
+        n = self._n = math.isqrt(len(a))
         self._base, self._g = a.base, a.g
         self._slots = np.flatnonzero(a.arr.any(axis=1)).tolist()
         self._blocks = a.arr[self._slots].reshape(-1, n, n).transpose(0, 2, 1)
@@ -196,16 +260,38 @@ def _products(x: Vector, y: Vector, combine):
     return _checked(out[:width]), base, g, bound
 
 
+def _slot_sums(rows):
+    """``sum_j rows[j, l]`` on the slots ``j + l``, added in ascending ``j``
+    (one reduction over the outer axis, which adds its slots in order):
+    row ``j`` is shifted by ``j`` into a zero band of width ``len(rows)``."""
+    m, M, tail = len(rows), rows.shape[1], rows.shape[2:]
+    skewed = np.zeros((m, M + m) + tail, rows.dtype)
+    skewed[:, :M] = rows
+    flat = skewed.reshape((m * (M + m),) + tail)[:m * (M + m - 1)]
+    return np.add.reduce(flat.reshape((m, max(M + m - 1, 0)) + tail), axis=0)
+
+
+#: Coefficients of products that :func:`_convolve` reduces at once (64 KiB
+#: of floats): a larger scratch is mapped fresh by the allocator on each
+#: call, and its page faults cost more than a pass per slot.
+_SCRATCH = 8192
+
+
 def _convolve(a, b):
     """The products of the series in the columns of ``a`` and ``b`` (one of
-    them may have one column for all): a pass per slot of the shorter."""
+    them may have one column for all), summed over the shorter factor's
+    slots in ascending order: the first slots in one reduction, as many as
+    ``_SCRATCH`` holds, and the rest a pass each.  ``0.0 +`` gives a zero
+    sum its sign, that of sums that start from an exact zero."""
     if len(a) > len(b):
         a, b = b, a
-    shape = (max(0, len(a) + len(b) - 1),) + np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    out = np.zeros(shape, np.result_type(a, b))
-    for j, row in enumerate(a):
-        out[j:j + len(b)] += row * b
-    return out
+    k = max(1, _SCRATCH // (len(b) * max(a.shape[1], b.shape[1]) or 1))
+    out = _slot_sums(a[:k, None] * b)
+    if len(a) > k:
+        out = np.concatenate([out, np.zeros((len(a) - k,) + out.shape[1:], out.dtype)])
+        for j in range(k, len(a)):
+            out[j:j + len(b)] += a[j] * b
+    return 0.0 + out
 
 
 def _sum_of_products(a, b, live):
@@ -213,11 +299,7 @@ def _sum_of_products(a, b, live):
     holds slot ``j``'s products, which land on slots ``j + l``."""
     if len(a) > len(b):  # pad the shorter factor's side
         a, b = b, a
-    a, b = a[:, live], b[:, live]
-    m, M = len(a), len(b)
-    skewed = np.zeros((m, M + m), np.result_type(a, b))  # row j shifted by j
-    skewed[:, :M] = a @ b.T
-    return skewed.ravel()[:m * (M + m - 1)].reshape(m, max(M + m - 1, 0)).sum(axis=0)
+    return _slot_sums(a[:, live] @ b[:, live].T)
 
 
 def sum_abs_squares(x: Vector):
@@ -234,9 +316,40 @@ def rayleigh_numerator(u: Vector, au: Vector):
 
 
 def scaled(x: Vector, s) -> Vector:
-    """:func:`lcpower._lattice.scaled`: each entry of ``x`` times the number ``s``."""
-    out, base, g, bound = _products(x, _layout((s,)), lambda a, b, _live: _convolve(a, b))
+    """:func:`lcpower._lattice.scaled`: each entry of ``x`` times the number
+    ``s``, laid out from its terms.  A one-term ``s`` scales the array, which
+    gives the bits of the one-row convolution."""
+    terms, s_bound = s
+    coeffs = [_lattice.laid_coefficient(c) for _, c in terms]
+    val = next((k for (k, _), c in zip(terms, coeffs) if c), None)
+    x_nonempty, x_val, x_bounds = _valuations(x)
+    bound = INF if val is None else np.minimum(x_bounds + val, s_bound + x_val).min(
+        where=x_nonempty, initial=INF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(terms) == 1 and val is not None:
+            g, base, c = (x.g if len(x.arr) > 1 else 1), x.base + val, coeffs[0]
+            a = x.arr[:_upto(base, g, bound)]
+            out = 0.0 + (c * a if len(a) > 1 else a * c)  # the convolution's operand order
+        else:
+            column = _column(terms, coeffs)
+            g, base = _stride([x, column]), x.base + column.base
+            width = _upto(base, g, bound)
+            out = _convolve(_strided(x, g)[:width], _strided(column, g)[:width])
     return retruncated(Vector(out, base, g, x.bounds), bound)
+
+
+def _column(terms, coeffs) -> Vector:
+    """The one number of ``terms`` (with the laid ``coeffs``) as :func:`_grid`
+    lays it out, its bound left out: in Python, which for a few terms
+    costs a third of the arrays ``_grid`` takes."""
+    if not terms:
+        return Vector(np.zeros((0, 1)), 0, 1, None)
+    base = terms[0][0]
+    g = math.gcd(*(k - base for k, _ in terms)) or 1
+    column = [0.0] * ((terms[-1][0] - base) // g + 1)
+    for (k, _), c in zip(terms, coeffs):
+        column[(k - base) // g] = c
+    return Vector(np.array(column)[:, None], base, g, None)
 
 
 def constants(x: Vector):
@@ -271,7 +384,7 @@ def diff_semi_norms(x: Vector, y: Vector, r: int, D: int):
         for v, sign in ((x, 1), (y, -1)):
             arr = sign * _strided(v, g)  # an empty vector adds no row
             diff[(v.base - base) // g:][:len(arr)] += arr
-        mags = np.hypot(diff.real, diff.imag)
+    mags = _magnitudes(diff)
     tops = mags.max(axis=0, initial=0.0)
     keep = mags > np.maximum(EPS_REL * tops, EPS_FLOOR)
     norms = np.where(keep, mags, 0.0)[:_upto(base, g, r)].max(axis=0, initial=0.0)

@@ -22,9 +22,11 @@ The loop's vector operations (:class:`lcpower._lattice.VectorOps`), the
 matrix action and the residual run on one kernel per solve: a dense numpy
 grid (:mod:`lcpower._lattice_np`) when the normalized matrix has at least
 ``_lattice_np.MIN_PAIRS`` stored entries, within stated error bounds of
-the Python kernel.  The kernel lays out the matrix, and its ``laid`` the
-start vector; the iterates and matrix actions keep its form between steps
-and in the trace.
+the Python kernel.  The kernel lays out the matrix, on the grid once for
+the normalized matrix and the residual both
+(:func:`lcpower._lattice_np.scaled_kernel`), and its ``laid`` the start
+vector; the iterates and matrix actions keep its form between steps and
+in the trace.
 A start vector that loses its dominant component gets one restart from
 the dominant eigenvector of that eigensolve (see :func:`solve`).  For a
 real constant-part matrix, mu1 and that eigenvector are real
@@ -75,6 +77,12 @@ class SolverConfig:
     ``truncation`` fixes the exponent window every iterate is held to;
     ``check_window`` (default: the truncation) and ``tol`` define the
     stopping rule; ``start`` is "ones", "random:<seed>" or an LCVector.
+    ``complex_pi_iters`` and ``complex_pi_tol`` bound the certificate of
+    the constant-part eigenpair: ``np.linalg.eig`` gives it, and at most
+    ``complex_pi_iters`` power steps from its eigenvector must bring the
+    residual to ``complex_pi_tol`` times the eigenvalue's modulus, or the
+    solve reports the dominance uncertain.  They do not bound the
+    eigensolve itself.
     """
 
     truncation: Fraction
@@ -303,10 +311,15 @@ def _constant_eigenpair(A: LCMatrix, cfg: SolverConfig):
 
 def _normalized(A_lat, q0_key: int, mu1: complex):
     """t^(-q0) A / mu1 from ``A`` on a lattice, as ``t^(-q0) e * (1/mu1)`` per entry."""
-    # not _lattice.constant, which drops a factor at or below EPS_FLOOR (|mu1| >= 1e300)
-    inv_mu = (((0, _lattice.laid_coefficient(1.0 / mu1)),), _lattice.INF)
+    inv_mu = (((0, _inverse(mu1)),), _lattice.INF)
     return tuple(tuple(_lattice.mul(_lattice.shift(e, -q0_key), inv_mu) for e in row)
                  for row in A_lat)
+
+
+def _inverse(mu1: complex):
+    """1/mu1 as the loop's coefficient; not ``_lattice.constant``, which
+    drops a factor at or below EPS_FLOOR (|mu1| >= 1e300)."""
+    return _lattice.laid_coefficient(1.0 / mu1)
 
 
 # -- the iteration -----------------------------------------------------------------
@@ -397,12 +410,11 @@ def _iterate(lat: Lattice, action, ops, y, cfg: SolverConfig, mu1: complex, q0: 
     return trace, k, converged, aligned, tie_any or aligned_tie
 
 
-def _residual(lat: Lattice, A, v, nu, window, ops):
+def _residual(lat: Lattice, action, v, nu, window, ops):
     """The largest coefficient of ``A v - nu v`` on ``window``, lowered to
-    the bounds of the differences, with ``A``, ``v`` and ``nu`` on the
-    lattice ``lat`` and ``v`` in the form of the loop's kernel ``ops``:
+    the bounds of the differences, with ``action`` A's action, and ``v``
+    and ``nu`` on the lattice ``lat``, all on the loop's kernel ``ops``:
     (residual, window)."""
-    action, _ = _lattice_np.kernel(A, ops)
     av, nuv = action(v), ops.scaled(v, nu)
     # both are clamped: every entry has the bound of the first
     rwin = min(lat.key(window), av[0][1], nuv[0][1])
@@ -438,7 +450,7 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
     # one lattice per solve: the matrix (q0 is one of its exponents), the
     # start vector and the exponents the loop needs
     lat, A_lat, xs = _on_lattice(A, _start_vector(cfg, A.n), cfg.truncation, cfg.window)
-    action, ops = _lattice_np.kernel(_normalized(A_lat, lat.key(q0), mu1))
+    action, ops, a_action = _lattice_np.scaled_kernel(A_lat, -lat.key(q0), _inverse(mu1))
     try:
         trace, k, converged, x, tie = _iterate(lat, action, ops, ops.laid(xs), cfg, mu1, q0)
     except (LostDominanceError, DegenerateInputError):
@@ -448,7 +460,7 @@ def solve(A: LCMatrix, cfg: SolverConfig) -> Tuple[EigenResult, IterationTrace]:
         xs = ops.laid(lat.vector(_start_vector(cfg, A.n, dominant)))
         trace, k, converged, x, tie = _iterate(lat, action, ops, xs, cfg, mu1, q0)
     last = trace.steps[-1]
-    residual, rwin = _residual(lat, A_lat, x, last._nu, cfg.window, ops)
+    residual, rwin = _residual(lat, a_action, x, last._nu, cfg.window, ops)
     result = EigenResult(
         eigenvalue=last.estimate, eigenvector=LCVector(lat.to_numbers(x)), q0=q0, mu1=mu1,
         iterations_used=k, converged=converged, pivot_tie_warning=tie,

@@ -162,14 +162,18 @@ def _product(a, b, bound):
     return {Fraction(q, grid): c for q, c in acc.items()}
 
 
-def sum_of_products(pairs):
+def _product_bound(a, b):
+    return min(a.valid_to + b.terms[0][0], b.valid_to + a.terms[0][0])
+
+
+def sum_of_products(pairs, bound=INF):
     """sum a * b over the pairs with no empty factor, valid to the least
-    of the products' bounds; the products add in pair order, and the sum
-    alone is cleaned up."""
+    of the products' bounds and ``bound``; the products add in pair order,
+    and the sum alone is cleaned up."""
     pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
     if not pairs:
-        return LCNumber((), INF)
-    bound = min(min(a.valid_to + b.terms[0][0], b.valid_to + a.terms[0][0]) for a, b in pairs)
+        return LCNumber((), bound)
+    bound = min(bound, *(_product_bound(a, b) for a, b in pairs))
     acc = {}
     for a, b in pairs:
         for q, c in _product(a, b, bound).items():
@@ -283,7 +287,10 @@ def scaled(x, s):
 def matvec(A, x):
     if A.n != len(x):
         raise DegenerateInputError(f"dimension mismatch: {A.n}x{A.n} vs {len(x)}")
-    return LCVector([sum_of_products(zip(row, x.entries)) for row in A.rows])
+    # every row is formed up to the least product bound of the whole vector
+    bound = min((_product_bound(a, b) for row in A.rows for a, b in zip(row, x.entries)
+                 if a.terms and b.terms), default=INF)
+    return LCVector([sum_of_products(zip(row, x.entries), bound) for row in A.rows])
 
 
 def _sum_abs_squares(x):

@@ -1155,11 +1155,14 @@ def test_numpy_norm_max_margins(v):
 
 
 def test_one_layout_per_vector(monkeypatch):
-    """The numpy loop lays out each vector at most once per step: the
-    operations pass their arrays on.  On ``companion21`` the only vector
-    laid out is the start vector, by ``NUMPY.laid``; each step lays out at
-    most two single numbers, the inverse norm and the phase that scale the
-    iterate.  And it converts one vector back to terms, the result."""
+    """The numpy loop lays out each vector at most once per solve: the
+    operations pass their arrays on.  On the real companion matrix of the
+    degree-21 experiment the solve lays out the matrix once, for the loop's
+    normalized matrix and the residual's action both, and the start vector,
+    by ``NUMPY.laid``; a step lays out nothing, as ``scaled`` lays out the
+    inverse norm and the phase from their terms.  On ``companion21``, whose
+    ``1/mu1`` is complex, the normalized matrix is laid out on its own.
+    Each solve converts one vector back to terms, the result."""
     layouts = []
     layout = lnp._layout
 
@@ -1173,12 +1176,15 @@ def test_one_layout_per_vector(monkeypatch):
     numbers = lnp.Vector.numbers.func
     monkeypatch.setattr(lnp.Vector, "numbers",
                         property(lambda self: built.append(1) or numbers(self)))
+    A = linalg.companion_matrix(degree21_polynomial())
+    _result, trace = solve(A, SolverConfig(truncation=F(4)))
+    assert len(trace.steps) > 1 and sorted(layouts) == [A.n, A.n ** 2]
+    assert len(built) == 1
+    layouts.clear()
     A, cfg = CASES["companion21"]()
     _result, trace = solve(A, cfg)
-    steps = len(trace.steps)
-    assert len(layouts) <= 3 * steps
-    assert layouts.count(A.n) == 1
-    assert len(built) <= 1
+    assert len(trace.steps) > 1 and sorted(layouts) == [A.n, A.n ** 2, A.n ** 2]
+    assert len(built) == 2
 
 
 def test_grid_solve_holds_floats(monkeypatch):
