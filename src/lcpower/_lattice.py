@@ -34,7 +34,7 @@ The loop's batched operations have two kernels: :func:`matvec` and
 :data:`PYTHON` here, and :mod:`lcpower._lattice_np`, convolutions on a
 dense numpy grid that clean up only where a value is read, so that they
 agree with this kernel within stated error bounds, not bit for bit.
-``solve`` picks one of them per solve (:func:`lcpower._lattice_np.kernel`)
+``solve`` picks one per solve (:func:`lcpower._lattice_np.scaled_kernel`)
 and passes its :class:`VectorOps` to :func:`normalize`, :func:`norm_max`,
 :func:`rayleigh`, :func:`phase_aligned` and :func:`weakly_converged`,
 which keep the control flow, the checks and the single-series steps for
@@ -396,6 +396,11 @@ def retruncated_vector(v, bound):
 
 def scaled(v, s):
     return clamp([mul(e, s) for e in v])
+
+
+def scaled_matrix(A, s: int, c):
+    """The loop's matrix ``c t^s A``, ``c`` a coefficient: ``mul(shift(e, s), c)`` by entry."""
+    return tuple(tuple(mul(shift(e, s), (((0, c),), INF)) for e in row) for row in A)
 
 
 def matvec(A, x):

@@ -14,19 +14,19 @@ a result differs from the Python kernel's, which cleans a sum of products
 once as it forms it, by the terms that cleanup drops, each at most
 ``EPS_REL`` of an intermediate's largest magnitude, and by another
 summation order's roundoff.  Bounds are ``mul``'s, ``val`` being the first
-stored nonzero key.  :func:`kernel` picks the kernel per solve, and
-:func:`scaled_kernel` for ``solve``'s normalized matrix.  The operations
-take :class:`Vector` s, which :data:`NUMPY`'s ``laid`` makes of numbers; a
-real coefficient reads as a float, as in ``_lattice``.
+stored nonzero key.  :func:`scaled_kernel` forms ``solve``'s normalized
+matrix and picks the kernel per solve.  The operations take
+:class:`Vector` s, which :data:`NUMPY`'s ``laid`` makes of numbers; a real
+coefficient reads as a float, as in ``_lattice``.
 
 Summation order: a convolution sums, at each key slot, the products of the
 shorter factor's slots in ascending order, starting from an exact zero
 (:func:`_convolve`: one reduction over the first slots, then a pass per
 slot).  The fast paths keep those bits: :func:`scaled` by a one-term
-number multiplies the array (the one-row convolution), and the
-normalized matrix derived from the matrix's layout equals the layout of
-its entries' products.  ``tests/test_fast_paths.py`` holds the code they
-replace and checks them against it bit for bit.
+number multiplies the array (the one-row convolution), and the normalized
+matrix derived from the matrix's layout equals the layout of its entries'
+products, for a real or a complex factor.  ``tests/test_fast_paths.py``
+holds the code they replace and checks them against it bit for bit.
 """
 
 from __future__ import annotations
@@ -44,46 +44,46 @@ from .errors import DegenerateInputError
 MIN_PAIRS = 10
 
 
-def kernel(M, ops=None):
-    """``(x -> matvec(M, x), vector ops)``, M laid out, on ``ops`` or the kernel M's size picks."""
-    if ops is NUMPY or ops is None and sum(1 for row in M for a in row if a[0]) >= MIN_PAIRS:
-        return MatrixAction(M), NUMPY
-    return partial(_lattice.matvec, tuple(map(_lattice.PYTHON.laid, M))), _lattice.PYTHON
-
-
 def scaled_kernel(A, shift: int, c):
-    """``kernel(M)`` of ``M = c t^shift A``, ``mul(shift(e, shift), c)`` entry
-    by entry, and A's action on the same kernel: ``(M's action, ops, A's
-    action)``.  On the grid A is laid out once and M's layout derived from
-    it; where that could give other bits than laying out M (a complex
-    ``c``, a term above its bound, a value that is not finite) M is laid
-    out from its entries."""
+    """The loop's matrix ``M = c t^shift A`` (``c`` a coefficient) and A
+    on the kernel that M's stored entries pick: ``(M's action, ops, A's
+    action)``.  M's entries are ``_lattice.scaled_matrix``'s products.  On
+    the grid A is laid out once and M's layout derived from it; on the
+    Python kernel M is formed entry by entry."""
     flat = [e for row in A for e in row]
-    # M has at most A's nonempty entries: a kernel on the grid needs A's layout
-    a = _layout(flat) if sum(1 for e in flat if e[0]) >= MIN_PAIRS else None
-    m = (_scaled_layout(a, [bool(e[0]) for e in flat], shift, c) if a is not None
-         and type(c) is float and all(not t or t[-1][0] <= b for t, b in flat) else None)
-    if m is not None and np.count_nonzero(m.arr.any(axis=0)) >= MIN_PAIRS:
-        return MatrixAction(m), NUMPY, MatrixAction(a)
-    factor = (((0, c),), INF)
-    action, ops = kernel(tuple(tuple(_lattice.mul(_lattice.shift(e, shift), factor) for e in row)
-                               for row in A))
-    return action, ops, MatrixAction(a) if ops is NUMPY else kernel(A, ops)[0]
+    if sum(1 for e in flat if e[0]) >= MIN_PAIRS:  # M has at most A's stored entries
+        a = _layout(flat)
+        m = _scaled_layout(a, [bool(e[0]) for e in flat], shift, c)
+        if np.count_nonzero(m.arr.any(axis=0)) >= MIN_PAIRS:
+            return MatrixAction(m), NUMPY, MatrixAction(a)
+    M = _lattice.scaled_matrix(A, shift, c)
+    return (partial(_lattice.matvec, tuple(map(_lattice.PYTHON.laid, M))), _lattice.PYTHON,
+            partial(_lattice.matvec, tuple(map(_lattice.PYTHON.laid, A))))
 
 
-def _scaled_layout(a: Vector, has_terms, shift: int, c: float):
+def _scaled_layout(a: Vector, has_terms, shift: int, c):
     """``_layout`` of the products ``mul(shift(e, shift), c)`` of the entries
     ``e`` laid out as ``a`` (``has_terms`` tells an entry without terms,
-    which becomes the exact zero): each column scaled and cleaned as the
-    entry's product is, on the grid of the terms kept.  None where a value
-    or its magnitude is not finite; there the products raise."""
+    which becomes the exact zero): each column cut at its bound, as ``mul``
+    forms no product above it, multiplied part by part as Python multiplies
+    complex numbers (a real array where every imaginary part is zero), and
+    cleaned as the entry's product is, on the grid of the terms kept.  A
+    product that leaves the float range raises as the first such entry's
+    ``mul`` does."""
+    arr = np.where((a.base + a.g * np.arange(len(a.arr)))[:, None] <= a.bounds, a.arr, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        arr = 0.0 + a.arr * c
-    if not np.isfinite(_magnitudes(arr)).all():
-        return None
-    arr = _cleaned(arr)
-    slots, cols = np.nonzero(arr)
-    coeffs = arr[slots, cols]
+        re = 0.0 + (arr.real * c.real - arr.imag * c.imag)
+        im = 0.0 + (arr.real * c.imag + arr.imag * c.real)
+        out = np.stack((re, im), -1).view(complex)[..., 0] if im.any() else re
+        mags = _magnitudes(out)
+    if not np.isfinite(mags).all():
+        j = np.isfinite(mags).all(axis=0).argmin()
+        if (np.isfinite(out[:, j]) & np.isinf(mags[:, j])).any():
+            raise OverflowError("absolute value too large")  # abs, before the sum's check
+        raise ValueError("coefficient overflow in multiplication")
+    out = _cleaned(out)
+    slots, cols = np.nonzero(out)
+    coeffs = out[slots, cols]
     if coeffs.dtype.kind == "c" and not coeffs.imag.any():  # every coefficient kept is real
         coeffs = coeffs.real
     return _grid(a.base + shift + a.g * slots, coeffs, cols,
@@ -212,9 +212,8 @@ class MatrixAction:
     """``_lattice.matvec(M, x)`` on the grid: ``M``'s coefficients at each
     of its occupied key slots as one ``n x n`` block, for ``x @ block``."""
 
-    def __init__(self, M):
-        """``M`` as rows of numbers, or laid out as a :class:`Vector` (column ``i*n + j``)."""
-        a = M if isinstance(M, Vector) else _layout([e for row in M for e in row])
+    def __init__(self, a: Vector):
+        """The matrix laid out as a :class:`Vector`, entry ``(i, j)`` in column ``i*n + j``."""
         n = self._n = math.isqrt(len(a))
         self._base, self._g = a.base, a.g
         self._slots = np.flatnonzero(a.arr.any(axis=1)).tolist()

@@ -22,11 +22,11 @@ The loop's vector operations (:class:`lcpower._lattice.VectorOps`), the
 matrix action and the residual run on one kernel per solve: a dense numpy
 grid (:mod:`lcpower._lattice_np`) when the normalized matrix has at least
 ``_lattice_np.MIN_PAIRS`` stored entries, within stated error bounds of
-the Python kernel.  The kernel lays out the matrix, on the grid once for
-the normalized matrix and the residual both
-(:func:`lcpower._lattice_np.scaled_kernel`), and its ``laid`` the start
-vector; the iterates and matrix actions keep its form between steps and
-in the trace.
+the Python kernel.  :func:`lcpower._lattice_np.scaled_kernel` lays out the
+matrix once, for the residual, and derives the normalized matrix
+(:func:`lcpower._lattice.scaled_matrix`) from it for any mu1; the kernel's
+``laid`` lays out the start vector.  The iterates and matrix actions keep
+its form between steps and in the trace.
 A start vector that loses its dominant component gets one restart from
 the dominant eigenvector of that eigensolve (see :func:`solve`).  For a
 real constant-part matrix, mu1 and that eigenvector are real
@@ -294,7 +294,8 @@ def precondition(A: LCMatrix, cfg: SolverConfig):
     constant part 1.  Returns (A_norm, q0, mu1)."""
     q0, mu1, _v = _constant_eigenpair(A, cfg)
     lat, A_lat, _ = _on_lattice(A, ())
-    return LCMatrix([lat.to_numbers(row) for row in _normalized(A_lat, lat.key(q0), mu1)]), q0, mu1
+    M = _lattice.scaled_matrix(A_lat, -lat.key(q0), _inverse(mu1))
+    return LCMatrix([lat.to_numbers(row) for row in M]), q0, mu1
 
 
 def _constant_eigenpair(A: LCMatrix, cfg: SolverConfig):
@@ -307,13 +308,6 @@ def _constant_eigenpair(A: LCMatrix, cfg: SolverConfig):
     B = np.array([[e[q0] for e in row] for row in A.rows], dtype=complex)
     mu1, _ratio, v = _estimate_dominant(B, cfg.complex_pi_iters, cfg.complex_pi_tol)
     return q0, mu1, v
-
-
-def _normalized(A_lat, q0_key: int, mu1: complex):
-    """t^(-q0) A / mu1 from ``A`` on a lattice, as ``t^(-q0) e * (1/mu1)`` per entry."""
-    inv_mu = (((0, _inverse(mu1)),), _lattice.INF)
-    return tuple(tuple(_lattice.mul(_lattice.shift(e, -q0_key), inv_mu) for e in row)
-                 for row in A_lat)
 
 
 def _inverse(mu1: complex):
@@ -385,7 +379,8 @@ def _iterate(lat: Lattice, action, ops, y, cfg: SolverConfig, mu1: complex, q0: 
     operations of its kernel.  Returns (trace, steps, converged,
     phase-aligned last iterate on the lattice, pivot tie seen)."""
     trunc, window, q0_key = lat.key(cfg.truncation), lat.key(cfg.window), lat.key(q0)
-    mu = _lattice.constant(mu1)
+    # as _inverse lays 1/mu1: _lattice.constant drops a mu1 at or below EPS_FLOOR
+    mu = ((0, _lattice.laid_coefficient(mu1)),), _lattice.INF
     trace = IterationTrace()
     tie_any = converged = False
     for k in range(cfg.max_iters + 1):

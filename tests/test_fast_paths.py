@@ -14,9 +14,9 @@ counts), numbers by ``repr``, failures by type and message.
 """
 
 import math
+from functools import partial
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -226,20 +226,29 @@ ENTRIES = [
 ]
 
 
+def _laid_action(M):
+    """The grid's action of the matrix ``M``, its rows of numbers laid out
+    as one vector (entry ``(i, j)`` in column ``i*n + j``)."""
+    return lnp.MatrixAction(lnp.NUMPY.laid([e for row in M for e in row]))
+
+
 def _kernels_entry_by_entry(A, shift, c):
-    """The two matrix actions of a solve as ``solve`` built them before
-    ``scaled_kernel``: the products laid out on their own, and A again."""
-    action, ops = lnp.kernel(tuple(tuple(_monomial_by_mul(e, shift, c) for e in row)
-                                   for row in A))
-    return action, ops, lnp.kernel(A, ops)[0]
+    """The two matrix actions of a solve and their kernel as ``solve``
+    built them before ``scaled_kernel`` derived a layout: the products laid
+    out on their own, on the kernel their stored entries pick, and A again
+    on that kernel."""
+    M = tuple(tuple(_monomial_by_mul(e, shift, c) for e in row) for row in A)
+    if sum(1 for row in M for e in row if e[0]) >= lnp.MIN_PAIRS:
+        return _laid_action(M), lnp.NUMPY, _laid_action(A)
+    return (partial(lk.matvec, tuple(map(lk.PYTHON.laid, M))), lk.PYTHON,
+            partial(lk.matvec, tuple(map(lk.PYTHON.laid, A))))
 
 
 def _same_kernels(A, shift, c):
     try:
         want = _kernels_entry_by_entry(A, shift, c)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
-            lnp.scaled_kernel(A, shift, c)
+    except (ArithmeticError, ValueError) as exc:  # the first entry that overflows
+        assert _outcome(lambda: lnp.scaled_kernel(A, shift, c)) == (type(exc).__name__, str(exc))
         return
     got = lnp.scaled_kernel(A, shift, c)
     assert got[1] is want[1]
@@ -259,7 +268,9 @@ def matrices(draw):
 
 
 @settings(BITS, max_examples=50)
-@given(matrices(), st.integers(-4, 4), st.sampled_from([1.0, -0.4, 3e-3, 1e8, complex(0.6, 0.8)]))
+@given(matrices(), st.integers(-4, 4), st.sampled_from(
+    [1.0, -0.4, 3e-3, 1e8, complex(0.6, 0.8), 1j, complex(-0.0, 1.0), complex(-2e-3, 5e-4),
+     complex(1e8, -3e7)]))
 def test_scaled_kernel_matches_entry_by_entry_layout(A, shift, c):
     _same_kernels(A, shift, c)
 
@@ -267,7 +278,9 @@ def test_scaled_kernel_matches_entry_by_entry_layout(A, shift, c):
 def test_scaled_kernel_regrids_after_the_cleanup():
     """The derived layout follows the terms the cleanup keeps: a dropped
     lowest key moves the base, a dropped odd key the stride, and complex
-    terms that all drop leave a real grid."""
+    terms that all drop leave a real grid.  A product that leaves the
+    float range raises as the first such entry's ``mul`` does: an infinite
+    part, or finite parts whose magnitude ``abs`` overflows."""
     dense = [[(((1, complex(1.0 + i + j, 0.0)), (3, complex(0.5, 0.0))), INF)
               for j in range(4)] for i in range(4)]
     lowest = [row[:] for row in dense]
@@ -278,8 +291,10 @@ def test_scaled_kernel_regrids_after_the_cleanup():
     above[2][2] = (((1, complex(1.0, 0.0)), (3, complex(1.0, 0.0))), 2)  # a term above its bound
     huge = [row[:] for row in dense]
     huge[3][0] = (((1, complex(1e300, 0.0)),), INF)  # overflows times 1e10
-    for A in (dense, lowest, odd, above, huge):
-        for c in (0.25, 1e10):
+    first = [row[:] for row in huge]  # (1.5 + 1.5i) 1e308 and an infinite part, the latter first
+    first[0][0] = (((1, complex(1e300, 1e300)),), INF)
+    for A in (dense, lowest, odd, above, huge, first):
+        for c in (0.25, 1e10, complex(0.25, -0.5), complex(1e10, 1.0), complex(1.5e8, 1.5e8)):
             _same_kernels(tuple(map(tuple, A)), -1, c)
     got = lnp.scaled_kernel(tuple(map(tuple, odd)), -1, 0.25)[0]
     assert got._blocks.dtype == np.dtype(float) and got._g == 2
@@ -354,4 +369,4 @@ def test_matvec_forms_rows_to_the_vector_bound():
     ref = reference_loop.matvec(LCMatrix([lat.to_numbers(row) for row in M]),
                                 LCVector(lat.to_numbers(x)))
     assert repr(ref.entries) == repr(tuple(lat.to_numbers(got)))
-    assert tuple(lnp.MatrixAction(M)(lnp.NUMPY.laid(x))) == got
+    assert tuple(_laid_action(M)(lnp.NUMPY.laid(x))) == got

@@ -140,6 +140,18 @@ class TestEstimateDominant:
         assert abs(res.mu1 - mu1) <= 1e-12 * mu1
         assert abs(res.eigenvalue[0] - mu1) <= 1e-12 * mu1
 
+    def test_tiny_constant_part(self):
+        # mu1 = 6.8e-301 lies below the cleanup floor EPS_FLOOR, which
+        # _lattice.constant would have turned into zero, and the eigenvalue
+        # with it: the solve is 1e-300 times the unit-scale one, less its
+        # constant 6.8e-301, which lies below the floor too
+        cfg = SolverConfig(truncation=F(2), max_iters=1000)
+        tiny, _ = solve(parse_matrix("2.1e-300 + 1e-299*t; 2e-300\n-1.9e-300; -2e-300"), cfg)
+        unit, _ = solve(parse_matrix("2.1 + 10*t; 2\n-1.9; -2"), cfg)
+        assert tiny.eigenvalue.valid_to == 2
+        want = 1e-300 * unit.eigenvalue[1]
+        assert abs(tiny.eigenvalue[1] - want) <= 1e-9 * abs(want)
+
 
 class TestPrecondition:
     def cfg(self):
